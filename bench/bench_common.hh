@@ -20,9 +20,6 @@
  *   --partition S   Selective partitioner strategy: kl (default),
  *                   exact (the branch-and-bound oracle) or auto
  *                   (exact up to the vectorizable-op threshold);
- *   --no-cache      disable the structural compile cache (every
- *                   request compiles from scratch; results are
- *                   unchanged, only cache.* stats disappear);
  *   --deadline-ms N per-loop wall-clock budget: a kernel that blows
  *                   it is quarantined into the report's failures[]
  *                   array while its siblings complete normally
@@ -35,20 +32,12 @@
  *                   every quarantined loop (see selvec_replay);
  *   --faults SPEC   arm a fault-injection plan (parseFaultPlan
  *                   syntax, e.g. "modsched.stall:2+1") — the
- *                   containment-demo hook;
- *   --cache-dir D   persistent on-disk compile cache directory
- *                   (DESIGN.md §11): compiles load finished entries
- *                   published by earlier runs, and publish their own.
- *                   Documents are byte-identical cold or warm; the
- *                   `cache.disk: ...` stderr summary reports the hit/
- *                   miss/store/evict/corrupt counters for CI gating;
- *   --cache-max-mb N
- *                   size cap for --cache-dir; least-recently-used
- *                   entries are evicted past it (0: unbounded).
+ *                   containment-demo hook.
  *
  * Numeric flag values are parsed strictly (support/parsenum): a
  * non-numeric, negative or trailing-garbage count is a usage error
- * with exit 2, never a silent 0.
+ * with exit 2, never a silent 0. So is any other `--` flag the
+ * binary did not declare in `extraFlags`.
  */
 
 #ifndef SELVEC_BENCH_BENCH_COMMON_HH
@@ -60,8 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/compilecache.hh"
-#include "driver/diskcache.hh"
 #include "driver/evaluate.hh"
 #include "driver/reportjson.hh"
 #include "support/faultinject.hh"
@@ -79,11 +66,8 @@ struct BenchCli
     int64_t deadlineMs = 0;     ///< per-loop budget (0: unlimited)
     int64_t maxCyclesFactor = 0;    ///< watchdog factor (0: default)
     std::string reproDir;       ///< empty: no repro bundles
-    std::string cacheDir;       ///< empty: no on-disk cache
-    int64_t cacheMaxMb = 0;     ///< disk cache cap (0: unbounded)
-    bool noCache = false;       ///< --no-cache given
     PartitionStrategy partitionStrategy = PartitionStrategy::Kl;
-    std::vector<std::string> rest;  ///< unconsumed arguments
+    std::vector<std::string> rest;  ///< positionals and extraFlags
 
     const char *mode() const { return quick ? "quick" : "full"; }
 
@@ -102,29 +86,34 @@ struct BenchCli
         return options;
     }
 
+    /** Parse argv; `extraFlags` are flags the binary handles itself
+     *  (left in `rest`). Any other unknown flag exits 2 with usage. */
     static BenchCli
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          const std::vector<std::string> &extraFlags = {})
     {
         BenchCli cli;
-        auto usageDie = [](const char *flag, const char *text) {
+        auto usageDie = [](const std::string &why) {
             std::fprintf(
                 stderr,
-                "%s: expected a non-negative integer, got '%s'\n"
+                "%s\n"
                 "usage: [--quick] [--json F] [--jobs N] "
                 "[--partition kl|exact|auto]\n"
                 "       [--deadline-ms N] [--max-cycles-factor N] "
                 "[--repro-dir D]\n"
-                "       [--faults SPEC] [--cache-dir D] "
-                "[--cache-max-mb N] [--no-cache]\n",
-                flag, text);
+                "       [--faults SPEC]\n",
+                why.c_str());
             std::exit(2);
         };
         // Strict numeric flags: `--jobs abc` (or `--jobs=`) must be
         // a usage error, not a silent jobs=0 run.
         auto count = [&](const char *flag, const char *text) {
             int64_t value = 0;
-            if (!parseNonNegInt(text, &value))
-                usageDie(flag, text);
+            if (!parseNonNegInt(text, &value)) {
+                usageDie(std::string(flag) +
+                         ": expected a non-negative integer, got '" +
+                         text + "'");
+            }
             return value;
         };
         auto armFaults = [](const std::string &spec) {
@@ -185,27 +174,14 @@ struct BenchCli
                 armFaults(argv[++i]);
             } else if (arg.rfind("--faults=", 0) == 0) {
                 armFaults(arg.substr(9));
-            } else if (arg == "--cache-dir" && i + 1 < argc) {
-                cli.cacheDir = argv[++i];
-            } else if (arg.rfind("--cache-dir=", 0) == 0) {
-                cli.cacheDir = arg.substr(12);
-            } else if (arg == "--cache-max-mb" && i + 1 < argc) {
-                cli.cacheMaxMb = count("--cache-max-mb", argv[++i]);
-            } else if (arg.rfind("--cache-max-mb=", 0) == 0) {
-                cli.cacheMaxMb =
-                    count("--cache-max-mb", arg.c_str() + 15);
-            } else if (arg == "--no-cache") {
-                cli.noCache = true;
-                compileCacheSetEnabled(false);
+            } else if (arg.rfind("--", 0) == 0 &&
+                       std::find(extraFlags.begin(), extraFlags.end(),
+                                 arg) == extraFlags.end()) {
+                usageDie("unknown flag '" + arg + "'");
             } else {
                 cli.rest.push_back(arg);
             }
         }
-        // --no-cache wins over --cache-dir regardless of flag order:
-        // a disabled cache must never configure (or write) the disk
-        // layer.
-        if (!cli.noCache && !cli.cacheDir.empty())
-            diskCacheConfigure(cli.cacheDir, cli.cacheMaxMb);
         return cli;
     }
 };
@@ -234,28 +210,6 @@ finishBenchJson(const BenchCli &cli, JsonValue &doc)
     attachObservability(doc);
     if (writeJsonFile(cli.jsonPath, doc))
         std::printf("wrote %s\n", cli.jsonPath.c_str());
-}
-
-/**
- * Print the disk-cache counters on stderr when --cache-dir is live.
- * The counters are deliberately excluded from the JSON document
- * (cold and warm runs must emit identical bytes), so this line is
- * how operators and the cache-persist CI lane observe them.
- */
-inline void
-printDiskCacheSummary(const BenchCli &cli)
-{
-    if (cli.cacheDir.empty())
-        return;
-    DiskCacheCounters c = diskCacheCounters();
-    std::fprintf(stderr,
-                 "cache.disk: hit=%lld miss=%lld store=%lld "
-                 "evict=%lld corrupt=%lld\n",
-                 static_cast<long long>(c.hit),
-                 static_cast<long long>(c.miss),
-                 static_cast<long long>(c.store),
-                 static_cast<long long>(c.evict),
-                 static_cast<long long>(c.corrupt));
 }
 
 } // namespace selvec

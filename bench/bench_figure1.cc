@@ -99,6 +99,5 @@ main(int argc, char **argv)
     programs.append(jsonOfCompiledProgram(sel));
     doc.set("programs", std::move(programs));
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     return 0;
 }

@@ -315,6 +315,5 @@ main(int argc, char **argv)
 
     doc.set("classes", std::move(classes));
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     return 0;
 }

@@ -90,6 +90,5 @@ main(int argc, char **argv)
     doc.set("suites", std::move(suites));
     doc.set("geomean_selective_speedup", geomean);
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     return 0;
 }

@@ -48,7 +48,7 @@ int
 main(int argc, char **argv)
 {
     using namespace selvec;
-    BenchCli cli = BenchCli::parse(argc, argv);
+    BenchCli cli = BenchCli::parse(argc, argv, {"--verbose"});
     bool verbose = std::find(cli.rest.begin(), cli.rest.end(),
                              "--verbose") != cli.rest.end();
 
@@ -138,6 +138,5 @@ main(int argc, char **argv)
     }
     doc.set("suites", std::move(suites));
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     return 0;
 }

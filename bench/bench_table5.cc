@@ -82,6 +82,5 @@ main(int argc, char **argv)
     }
     doc.set("suites", std::move(suites));
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     return 0;
 }

@@ -3,24 +3,20 @@
  * selvec_serve: the batch compile service front-end.
  *
  *   selvec_serve [requests.jsonl] [--output FILE] [--jobs N]
- *                [--cache-dir DIR] [--cache-max-mb N] [--no-cache]
  *
  * Reads JSON-lines compile requests (selvec-repro-v1 documents, one
  * per line; see docs/DRIVER.md for the line protocol) from a file or
- * stdin, deduplicates identical in-flight requests, fans them out
- * over the thread pool, and streams one selvec-serve-v1 response
- * line per request to stdout (or --output), in input order. With
- * --cache-dir, compiles hit the persistent on-disk cache and newly
- * compiled programs are published to it for the next batch.
+ * stdin, deduplicates identical requests within the batch, fans them
+ * out over the thread pool, and streams one selvec-serve-v1 response
+ * line per request to stdout (or --output), in input order.
  *
- * A batch summary and the disk-cache counters go to stderr, so
- * stdout stays pure protocol.
+ * A batch summary goes to stderr, so stdout stays pure protocol.
  *
  * Exit status: 0 when every request succeeded, 1 when any request
  * failed or was malformed (the batch still ran to completion), 2 on
  * usage or input-file errors. Numeric flag values are parsed
  * strictly: `--jobs abc` is a usage error, never a silent jobs=0
- * batch. --no-cache wins over --cache-dir regardless of flag order.
+ * batch.
  */
 
 #include <cstdio>
@@ -29,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/compilecache.hh"
-#include "driver/diskcache.hh"
 #include "service/serve.hh"
 
 using namespace selvec;
@@ -43,9 +37,8 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: selvec_serve [requests.jsonl] [--output FILE]\n"
-        "                    [--jobs N] [--cache-dir DIR]\n"
-        "                    [--cache-max-mb N] [--no-cache]\n");
+        "usage: selvec_serve [requests.jsonl] [--output FILE] "
+        "[--jobs N]\n");
     return 2;
 }
 
@@ -63,14 +56,6 @@ main(int argc, char **argv)
         return usage();
     }
     const ServeCliConfig &cfg = parsed.value();
-
-    if (cfg.noCache)
-        compileCacheSetEnabled(false);
-    // --no-cache wins over --cache-dir regardless of flag order: a
-    // disabled cache must never configure (or write) the disk layer,
-    // and every response then reports "compiled" provenance.
-    if (cfg.diskCacheWanted())
-        diskCacheConfigure(cfg.cacheDir, cfg.cacheMaxMb);
 
     ServeOptions options;
     options.jobs = cfg.jobs;
@@ -113,15 +98,6 @@ main(int argc, char **argv)
                  static_cast<long long>(summary.failed),
                  static_cast<long long>(summary.malformed),
                  static_cast<long long>(summary.deduped));
-    DiskCacheCounters c = diskCacheCounters();
-    std::fprintf(stderr,
-                 "cache.disk: hit=%lld miss=%lld store=%lld "
-                 "evict=%lld corrupt=%lld\n",
-                 static_cast<long long>(c.hit),
-                 static_cast<long long>(c.miss),
-                 static_cast<long long>(c.store),
-                 static_cast<long long>(c.evict),
-                 static_cast<long long>(c.corrupt));
 
     return summary.failed > 0 || summary.malformed > 0 ? 1 : 0;
 }

@@ -22,7 +22,8 @@
  *                  for every N.
  *   --partition S  Selective partitioner strategy: kl (default),
  *                  exact (the branch-and-bound oracle) or auto
- *   --no-cache     disable the structural compile cache
+ *
+ * Any other `--` flag is a usage error (exit 2).
  *
  * Every live-in is bound to a small default value (f64: 0.5, i64: 3);
  * results are checked against the reference interpreter.
@@ -34,7 +35,6 @@
 #include <sstream>
 
 #include "core/partition.hh"
-#include "driver/compilecache.hh"
 #include "driver/driver.hh"
 #include "driver/reportjson.hh"
 #include "lir/lir.hh"
@@ -133,9 +133,10 @@ main(int argc, char **argv)
             strategy(argv[++i]);
         else if (arg.rfind("--partition=", 0) == 0)
             strategy(arg.substr(12));
-        else if (arg == "--no-cache")
-            compileCacheSetEnabled(false);
-        else
+        else if (arg.rfind("--", 0) == 0) {
+            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+            return 2;
+        } else
             positional.push_back(arg);
     }
 

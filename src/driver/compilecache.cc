@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "lir/lir.hh"
-#include "support/deadline.hh"
-#include "support/faultinject.hh"
 
 namespace selvec
 {
@@ -12,14 +10,10 @@ namespace selvec
 namespace
 {
 
-bool g_cache_enabled = true;
-
-thread_local int tls_bypass_depth = 0;
-
 thread_local CompileSource tls_compile_source = CompileSource::None;
 
 /** Every semantic field of the machine, never its name: two machines
- *  that schedule identically must share cache entries. */
+ *  that schedule identically must share a key. */
 void
 appendMachineKey(std::ostringstream &out, const Machine &machine)
 {
@@ -55,56 +49,11 @@ appendArraysKey(std::ostringstream &out, const ArrayTable &arrays)
     }
 }
 
-void
-appendScheduleOptionsKey(std::ostringstream &out,
-                         const ScheduleOptions &options)
-{
-    out << "sched budget=" << options.budgetFactor
-        << " iifactor=" << options.maxIiFactor
-        << " iislack=" << options.maxIiSlack << "\n";
-}
-
 } // anonymous namespace
-
-bool
-compileCacheEnabled()
-{
-    return g_cache_enabled;
-}
-
-void
-compileCacheSetEnabled(bool enabled)
-{
-    g_cache_enabled = enabled;
-}
-
-bool
-compileCacheActive()
-{
-    // An armed deadline/cancellation context bypasses the cache for
-    // the same reason an armed fault plan does: the outcome of such a
-    // compile depends on wall-clock time (or the caller's whim), and
-    // a cached DeadlineExceeded status would replay as a permanent
-    // failure long after the deadline that caused it.
-    return g_cache_enabled && tls_bypass_depth == 0 &&
-           !faultPlanArmed() && !deadlineArmed();
-}
 
 void
 compileCacheClear()
 {
-    compileCache().clear();
-    scheduleCache().clear();
-}
-
-CacheBypassScope::CacheBypassScope()
-{
-    ++tls_bypass_depth;
-}
-
-CacheBypassScope::~CacheBypassScope()
-{
-    --tls_bypass_depth;
 }
 
 std::string
@@ -116,9 +65,9 @@ compileCacheKey(const Loop &loop, const ArrayTable &arrays,
     out << "compile " << techniqueName(technique) << "\n";
     appendMachineKey(out, machine);
     appendArraysKey(out, arrays);
-    // Only the knobs this technique consumes enter the key, so a
-    // sweep that flips a Selective-only flag (Table 4) still shares
-    // its ModuloOnly/Full compiles with the base sweep.
+    // Only the knobs this technique consumes enter the key, so two
+    // requests that differ in a Selective-only flag still share a
+    // ModuloOnly/Full compile.
     out << "opts";
     if (technique == Technique::Traditional)
         out << " expansion=" << options.expansionSize;
@@ -135,7 +84,7 @@ compileCacheKey(const Loop &loop, const ArrayTable &arrays,
         // The exact tier's knobs fragment the key only when they can
         // change the partition: under the default KL strategy every
         // threshold/budget produces the identical program, and one
-        // cache entry must serve them all.
+        // key must serve them all.
         if (options.partition.strategy != PartitionStrategy::Kl) {
             out << " pthresh=" << options.partition.exactThreshold
                 << " pnodes=" << options.partition.exactMaxNodes;
@@ -144,37 +93,12 @@ compileCacheKey(const Loop &loop, const ArrayTable &arrays,
     if (technique == Technique::IterationSplit)
         out << " itersplit=" << options.iterSplitUnroll;
     out << "\n";
-    appendScheduleOptionsKey(out, options.scheduling);
+    const ScheduleOptions &sched = options.scheduling;
+    out << "sched budget=" << sched.budgetFactor
+        << " iifactor=" << sched.maxIiFactor
+        << " iislack=" << sched.maxIiSlack << "\n";
     out << writeLoop(loop, arrays);
     return out.str();
-}
-
-std::string
-scheduleCacheKey(const Loop &body, const ArrayTable &arrays,
-                 const Machine &machine,
-                 const ScheduleOptions &options)
-{
-    std::ostringstream out;
-    out << "schedule\n";
-    appendMachineKey(out, machine);
-    appendArraysKey(out, arrays);
-    appendScheduleOptionsKey(out, options);
-    out << writeLoop(body, arrays);
-    return out.str();
-}
-
-StructuralCache<CompileCacheValue> &
-compileCache()
-{
-    static StructuralCache<CompileCacheValue> cache;
-    return cache;
-}
-
-StructuralCache<ScheduleCacheValue> &
-scheduleCache()
-{
-    static StructuralCache<ScheduleCacheValue> cache;
-    return cache;
 }
 
 const char *
@@ -182,8 +106,6 @@ compileSourceName(CompileSource source)
 {
     switch (source) {
       case CompileSource::None: return "none";
-      case CompileSource::Memory: return "memory";
-      case CompileSource::Disk: return "disk";
       case CompileSource::Compiled: return "compiled";
     }
     return "none";
@@ -196,23 +118,9 @@ lastCompileSource()
 }
 
 void
-noteCompileSource(CompileSource source)
+noteCompiled()
 {
-    tls_compile_source = source;
-}
-
-std::vector<StatEntry>
-captureStatsDelta(const StatsRegistry &registry)
-{
-    std::vector<StatEntry> delta;
-    for (StatEntry &e : registry.snapshot()) {
-        // The inner run's own cache traffic stays out of the stored
-        // delta: replaying a hit must not re-report nested misses.
-        if (e.key.compare(0, 6, "cache.") == 0)
-            continue;
-        delta.push_back(std::move(e));
-    }
-    return delta;
+    tls_compile_source = CompileSource::Compiled;
 }
 
 } // namespace selvec

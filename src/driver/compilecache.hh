@@ -1,241 +1,54 @@
 /**
  * @file
- * The structural compile cache: repeated kernels skip redundant
- * scheduling.
+ * The canonical compile key and per-thread compile provenance.
  *
- * Benches and ablation sweeps recompile the same loops over and over
- * — Table 4/5 re-run every suite under flag flips, every technique
- * of one suite schedules the identical cleanup loop, and a baseline
- * is recompiled per comparison. The cache keys compilation on the
- * *structure* of the request: the written LIR of the loop (the
- * canonical form `writeLoop` emits), the array table, the machine
- * configuration (every semantic field; never the name), the
- * technique, and the DriverOptions knobs that reach the technique's
- * codepath (a Selective-only knob does not fragment the ModuloOnly
- * key). The key is the full canonical string, not a lossy hash, so
- * two distinct requests can never alias one cached program.
+ * compileCacheKey() names a compile request by its *structure*: the
+ * written LIR of the loop (the canonical form `writeLoop` emits), the
+ * array table, the machine configuration (every semantic field; never
+ * the name), the technique, and the DriverOptions knobs that reach the
+ * technique's codepath (a Selective-only knob does not fragment the
+ * ModuloOnly key). The key is the full canonical string, not a lossy
+ * hash, so two distinct requests never share one key. serveBatch uses
+ * it to deduplicate identical requests within a batch.
  *
- * Two levels share one mechanism: tryCompileLoop caches whole
- * compiles (program + post-compile array table), scheduleInto caches
- * individual lower+schedule+validate runs (which is where cross-
- * technique sharing happens — ModuloOnly, Full and Selective all
- * schedule the same source loop as their cleanup).
- *
- * Determinism. Each cached value stores the stats delta its compile
- * recorded; a hit replays that delta into the caller's registry, so
- * the merged stats of a run do not depend on which requests hit.
- * Concurrent requests for one key deduplicate: the first claims the
- * slot and computes, the rest block until the value is ready and
- * count a `cache.hit` — hit/miss totals are invariant under --jobs.
- * `cache.full` counts computations that bypassed storage because the
- * level hit its capacity bound (determinism across cache states is
- * only guaranteed below the bound; the bound exists so a pathological
- * driver loop cannot grow the process without limit).
- *
- * Fault injection. Cached replay would skip the fault sites inside
- * the compile path, so the driver bypasses the cache entirely while
- * a FaultPlan is armed (faultPlanArmed()); CacheBypassScope gives
- * speculative callers (the resilient fan-out) the same bypass
- * per-thread so discarded attempts neither pollute the cache nor
- * perturb hit/miss accounting.
+ * Every tryCompileLoop call compiles; nothing is cached across calls.
  */
 
 #ifndef SELVEC_DRIVER_COMPILECACHE_HH
 #define SELVEC_DRIVER_COMPILECACHE_HH
 
-#include <condition_variable>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "driver/driver.hh"
-#include "support/stats.hh"
 
 namespace selvec
 {
-
-/** Entries one cache level holds before refusing new keys. */
-constexpr size_t kCompileCacheCapacity = 4096;
-
-/**
- * A keyed once-per-process computation store. Values are immutable
- * once published and shared by pointer; compute callbacks run outside
- * the map lock, and concurrent requests for one key run the callback
- * exactly once (waiters block on the slot).
- */
-template <typename V>
-class StructuralCache
-{
-  public:
-    std::shared_ptr<const V>
-    lookupOrCompute(const std::string &key,
-                    const std::function<V()> &compute)
-    {
-        std::shared_ptr<Slot> slot;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            auto it = slots.find(key);
-            if (it != slots.end()) {
-                slot = it->second;
-            } else if (slots.size() >= kCompileCacheCapacity) {
-                slot = nullptr;
-            } else {
-                slot = std::make_shared<Slot>();
-                slots.emplace(key, slot);
-                owner = true;
-            }
-        }
-
-        // Cache traffic counts straight into the process registry,
-        // bypassing capture sinks: a nested lookup (schedule level
-        // inside a compile-level compute) must surface in the report
-        // rather than be stripped with the stored delta. The totals
-        // stay jobs-invariant because dedup fixes the executed set.
-        if (slot == nullptr) {
-            // Full: compute without storing. Hit/miss determinism
-            // only holds below the capacity bound.
-            processStats().add("cache.full");
-            return std::make_shared<const V>(compute());
-        }
-        if (owner) {
-            processStats().add("cache.miss");
-            std::shared_ptr<const V> value;
-            try {
-                value = std::make_shared<const V>(compute());
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(slot->mutex);
-                slot->error = std::current_exception();
-                slot->ready = true;
-                slot->cv.notify_all();
-                throw;
-            }
-            std::lock_guard<std::mutex> lock(slot->mutex);
-            slot->value = value;
-            slot->ready = true;
-            slot->cv.notify_all();
-            return value;
-        }
-
-        processStats().add("cache.hit");
-        std::unique_lock<std::mutex> lock(slot->mutex);
-        slot->cv.wait(lock, [&] { return slot->ready; });
-        if (slot->error)
-            std::rethrow_exception(slot->error);
-        return slot->value;
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        slots.clear();
-    }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return slots.size();
-    }
-
-  private:
-    struct Slot
-    {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool ready = false;
-        std::shared_ptr<const V> value;
-        std::exception_ptr error;
-    };
-
-    mutable std::mutex mutex;
-    std::map<std::string, std::shared_ptr<Slot>> slots;
-};
-
-/** Cached outcome of one whole tryCompileLoop request. */
-struct CompileCacheValue
-{
-    bool ok = false;
-    Status status;              ///< the failure when !ok
-    CompiledProgram program;    ///< valid when ok
-    ArrayTable arrays;          ///< post-compile table (ok only)
-    std::vector<StatEntry> statsDelta;
-};
-
-/** Cached outcome of one scheduleInto run. */
-struct ScheduleCacheValue
-{
-    Status status;
-    Loop lowered;
-    ModuloSchedule schedule;
-    int64_t resMii = 0;
-    int64_t recMii = 0;
-    std::vector<StatEntry> statsDelta;
-};
-
-/** Whether tryCompileLoop/scheduleInto may consult the cache on this
- *  thread (enabled, no fault plan armed, no deadline/cancellation
- *  context armed, no bypass scope). */
-bool compileCacheActive();
-
-/** Globally enable/disable the cache (--no-cache; default on). */
-void compileCacheSetEnabled(bool enabled);
-bool compileCacheEnabled();
-
-/** Drop every entry of both levels (tests: cold-cache runs). */
-void compileCacheClear();
-
-/** Suppress cache use on this thread for the scope's lifetime. */
-class CacheBypassScope
-{
-  public:
-    CacheBypassScope();
-    ~CacheBypassScope();
-
-    CacheBypassScope(const CacheBypassScope &) = delete;
-    CacheBypassScope &operator=(const CacheBypassScope &) = delete;
-};
 
 /** Canonical key of a whole-compile request. */
 std::string compileCacheKey(const Loop &loop, const ArrayTable &arrays,
                             const Machine &machine, Technique technique,
                             const DriverOptions &options);
 
-/** Canonical key of one lower+schedule+validate request. */
-std::string scheduleCacheKey(const Loop &body, const ArrayTable &arrays,
-                             const Machine &machine,
-                             const ScheduleOptions &options);
-
-/** The process-wide cache levels. */
-StructuralCache<CompileCacheValue> &compileCache();
-StructuralCache<ScheduleCacheValue> &scheduleCache();
-
-/** Copy `registry`'s snapshot, dropping `cache.*` bookkeeping — the
- *  form stored as a value's statsDelta. */
-std::vector<StatEntry> captureStatsDelta(const StatsRegistry &registry);
+/** No-op. Only perfbench/harness.cc still calls it; it goes when that
+ *  harness next changes. */
+void compileCacheClear();
 
 /**
  * Where this thread's most recent tryCompileLoop result came from:
- * the in-memory structural cache, the on-disk cache, or a fresh
- * compile. `None` until the thread completes a tryCompileLoop. The
- * serving layer reports this as each response's cache provenance;
- * requests that bypass the cache (armed deadline/fault plan,
- * --no-cache) always read `Compiled`.
+ * `None` until the thread runs a tryCompileLoop, `Compiled` after.
+ * The serving layer reports this as each response's provenance.
  */
-enum class CompileSource : uint8_t { None, Memory, Disk, Compiled };
+enum class CompileSource : uint8_t { None, Compiled };
 
-/** Printable name ("none", "memory", "disk", "compiled"). */
+/** Printable name ("none", "compiled"). */
 const char *compileSourceName(CompileSource source);
 
 /** This thread's most recent compile provenance. */
 CompileSource lastCompileSource();
 
-/** Record this thread's compile provenance (driver internal). */
-void noteCompileSource(CompileSource source);
+/** Record that this thread compiled (driver internal). */
+void noteCompiled();
 
 } // namespace selvec
 

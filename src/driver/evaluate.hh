@@ -88,8 +88,7 @@ struct EvaluateOptions
      * runs inline on the calling thread; 0 or negative resolves to
      * hardware concurrency; an armed fault plan forces 1. Reports and
      * merged stats are byte-identical for every value — per-loop work
-     * is independent, task sinks merge in loop order, and the compile
-     * cache deduplicates concurrent identical requests (see
+     * is independent and task sinks merge in loop order (see
      * DESIGN.md §8).
      */
     int jobs = 1;

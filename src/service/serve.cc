@@ -62,42 +62,22 @@ parseServeArgs(const std::vector<std::string> &args)
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         bool missing = false;
-        // Strict numeric values: `--jobs abc` (or a bare trailing
-        // `--jobs`) must be a usage error, not a silent jobs=0 batch.
-        auto count = [&](const char *flag, int64_t *out) -> Status {
-            if (missing)
-                return serveArgError(std::string(flag) +
-                                     ": missing value");
-            if (!parseNonNegInt(value.c_str(), out))
-                return serveArgError(
-                    std::string(flag) +
-                    ": expected a non-negative integer, got '" +
-                    value + "'");
-            return Status::success();
-        };
         if (serveFlagValue(args, &i, "--output", &value, &missing)) {
             if (missing)
                 return serveArgError("--output: missing value");
             cfg.outputPath = value;
         } else if (serveFlagValue(args, &i, "--jobs", &value,
                                   &missing)) {
-            int64_t jobs = 0;
-            Status s = count("--jobs", &jobs);
-            if (!s.ok())
-                return s;
-            cfg.jobs = static_cast<int>(jobs);
-        } else if (serveFlagValue(args, &i, "--cache-dir", &value,
-                                  &missing)) {
+            // Strict: `--jobs abc` (or a bare trailing `--jobs`) must
+            // be a usage error, not a silent jobs=0 batch.
             if (missing)
-                return serveArgError("--cache-dir: missing value");
-            cfg.cacheDir = value;
-        } else if (serveFlagValue(args, &i, "--cache-max-mb", &value,
-                                  &missing)) {
-            Status s = count("--cache-max-mb", &cfg.cacheMaxMb);
-            if (!s.ok())
-                return s;
-        } else if (arg == "--no-cache") {
-            cfg.noCache = true;
+                return serveArgError("--jobs: missing value");
+            int64_t jobs = 0;
+            if (!parseNonNegInt(value.c_str(), &jobs))
+                return serveArgError(
+                    "--jobs: expected a non-negative integer, got '" +
+                    value + "'");
+            cfg.jobs = static_cast<int>(jobs);
         } else if (arg.compare(0, 2, "--") == 0) {
             return serveArgError("unknown flag '" + arg + "'");
         } else if (cfg.inputPath.empty()) {
@@ -250,13 +230,11 @@ serveBatch(std::istream &in, std::ostream &out,
     }
     summary.requests = static_cast<int64_t>(slots.size());
 
-    // Dedup in-flight identical requests: the lowest-index request
-    // per canonical compile key is the group's leader; the rest
-    // share its program and report the leader's provenance
-    // (deterministic for a given starting cache state, and truthful
-    // about where the work actually happened). Requests carrying a
-    // deadline bypass the cache, so their compiles are not shareable:
-    // each is its own leader and compiles under its own clock.
+    // Dedup identical requests: the lowest-index request per
+    // canonical compile key is the group's leader; the rest share its
+    // program and report the leader's provenance. Requests carrying a
+    // deadline compile under their own clock, so their compiles are
+    // not shareable: each is its own leader.
     std::map<std::string, size_t> groups;
     std::vector<size_t> leaders;
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -296,8 +274,7 @@ serveBatch(std::istream &in, std::ostream &out,
         return Status::error(ErrorCode::Internal, "serve", what);
     };
 
-    // Phase 1: compile every deadline-free leader concurrently. The
-    // disk and in-memory cache layers sit under tryCompileLoop.
+    // Phase 1: compile every deadline-free leader concurrently.
     std::vector<std::exception_ptr> compileErrors =
         pool.parallelForAll(leaders.size(), [&](size_t k) {
             size_t i = leaders[k];

@@ -8,27 +8,27 @@
  * that can write a bundle can talk to the service. An optional "id"
  * member (any JSON value) is echoed back verbatim.
  *
- * serveBatch() reads every line, deduplicates identical in-flight
- * requests (same canonical compile key: one request compiles, the
- * rest share its program and report "memory" provenance), fans the
- * work out over the thread pool, executes each request's simulation
- * under its own deadline, and streams exactly one response line per
- * request, in input order — so response bytes are independent of
- * --jobs. Response schema "selvec-serve-v1":
+ * serveBatch() reads every line, deduplicates identical requests
+ * within the batch (same canonical compile key: one request compiles,
+ * the rest share its program), fans the work out over the thread
+ * pool, executes each request's simulation under its own deadline,
+ * and streams exactly one response line per request, in input order —
+ * so response bytes are independent of --jobs. Response schema
+ * "selvec-serve-v1":
  *
  *     { "schema": "selvec-serve-v1", "index": N, ["id": ...,]
  *       "name": ..., "ok": true|false,
  *       "status": {"code","stage","message"},
  *       ["technique": ..., "ii_per_iteration": ..., "cycles": ...,
  *        "trip_count": ..., "invocations": ..., "source":
- *        "memory"|"disk"|"compiled"] }
+ *        "compiled"] }
  *
  * `cycles` is the simulated total over all invocations (one bounded
  * simulation, multiplied: the simulator is deterministic, so
  * re-running identical invocations would only burn time). `source`
- * is the compile's cache provenance (driver/compilecache); requests
- * carrying a deadline_ms bypass both cache levels by the driver's
- * containment policy and always report "compiled".
+ * is the compile's provenance (driver/compilecache): every request
+ * is compiled in its batch, so it always reads "compiled"; dedup
+ * followers report their leader's.
  *
  * Containment: a malformed line, a failed compile, a tripped
  * deadline/watchdog — each quarantines its own request into a
@@ -63,20 +63,6 @@ struct ServeCliConfig
     std::string inputPath;      ///< empty: stdin
     std::string outputPath;     ///< empty: stdout
     int jobs = 0;               ///< 0: hardware concurrency
-    std::string cacheDir;       ///< empty: no on-disk cache
-    int64_t cacheMaxMb = 0;     ///< disk cache cap (0: unbounded)
-    bool noCache = false;       ///< --no-cache given
-
-    /**
-     * Whether the disk cache should be configured. --no-cache wins
-     * over --cache-dir regardless of flag order: a disabled cache
-     * must never configure (or write) the disk layer.
-     */
-    bool
-    diskCacheWanted() const
-    {
-        return !noCache && !cacheDir.empty();
-    }
 };
 
 /**

@@ -74,8 +74,8 @@ bool faultPointHit(const char *site);
 int faultHits(const std::string &site);
 
 /** Whether a plan is currently armed (one atomic load). The driver
- *  bypasses its compile cache and runs serially while this is true,
- *  keeping hit windows deterministic per site. */
+ *  runs serially while this is true, keeping hit windows
+ *  deterministic per site. */
 bool faultPlanArmed();
 
 /** A copy of the installed plan (empty when none). Repro bundles

@@ -85,24 +85,13 @@ StatsRegistry::reset()
 }
 
 void
-StatsRegistry::mergeFrom(const StatsRegistry &other,
-                         const std::string &filterPrefix)
+StatsRegistry::mergeFrom(const StatsRegistry &other)
 {
     // Snapshot first: self-merge aside, taking both mutexes in a
     // fixed order is more ceremony than copying a small map.
-    applyEntries(other.snapshot(), filterPrefix);
-}
-
-void
-StatsRegistry::applyEntries(const std::vector<StatEntry> &entries,
-                            const std::string &filterPrefix)
-{
+    std::vector<StatEntry> entries = other.snapshot();
     std::lock_guard<std::mutex> lock(mutex);
     for (const StatEntry &e : entries) {
-        if (!filterPrefix.empty() &&
-            e.key.compare(0, filterPrefix.size(), filterPrefix) == 0) {
-            continue;
-        }
         Stat &s = stats[e.key];
         s.kind = e.kind;
         switch (e.kind) {
@@ -125,14 +114,10 @@ StatsRegistry::applyEntries(const std::vector<StatEntry> &entries,
 }
 
 JsonValue
-StatsRegistry::toJson(bool includeTimerNs,
-                      const std::string &excludePrefix) const
+StatsRegistry::toJson(bool includeTimerNs) const
 {
     JsonValue root = JsonValue::object();
     for (const StatEntry &e : snapshot()) {
-        if (!excludePrefix.empty() &&
-            e.key.compare(0, excludePrefix.size(), excludePrefix) == 0)
-            continue;
         // Walk/create the object spine named by the dotted prefix.
         JsonValue *node = &root;
         size_t start = 0;

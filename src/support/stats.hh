@@ -83,17 +83,9 @@ class StatsRegistry
      * Fold another registry's contents into this one, by kind:
      * counters and timers add, max gauges take the max, and plain
      * gauges overwrite (so merging task deltas in task order yields
-     * the same final value as serial execution). `filterPrefix`, when
-     * non-empty, skips keys starting with it (the compile cache uses
-     * this to strip its own bookkeeping from replayed deltas).
+     * the same final value as serial execution).
      */
-    void mergeFrom(const StatsRegistry &other,
-                   const std::string &filterPrefix = "");
-
-    /** mergeFrom for an already-captured snapshot — how the compile
-     *  cache replays a stored delta on a hit. */
-    void applyEntries(const std::vector<StatEntry> &entries,
-                      const std::string &filterPrefix = "");
+    void mergeFrom(const StatsRegistry &other);
 
     /**
      * The registry as a nested JSON object: dotted keys become object
@@ -102,12 +94,8 @@ class StatsRegistry
      * timer total_ns leaves are emitted as 0 (sample counts are kept)
      * so the document is byte-stable across runs — the report surface
      * uses this unless SELVEC_TIMINGS opts into wall-clock values.
-     * Keys starting with `excludePrefix` (when non-empty) are left out
-     * entirely — the report surface drops `cache.disk.*` so a warm
-     * disk cache emits the same document bytes as a cold one.
      */
-    JsonValue toJson(bool includeTimerNs = true,
-                     const std::string &excludePrefix = "") const;
+    JsonValue toJson(bool includeTimerNs = true) const;
 
   private:
     struct Stat

@@ -70,24 +70,23 @@ ThreadPool::parallelForAll(size_t n,
         return errors;
     }
 
+    Batch batch;
+    batch.fn = &fn;
+    batch.total = n;
+    batch.errors = errors.data();
+    batch.context = currentDeadlineContext();
+
     std::unique_lock<std::mutex> lock(mutex);
-    batchFn = &fn;
-    batchTotal = n;
-    batchErrors = errors.data();
-    batchContext = currentDeadlineContext();
-    nextIndex.store(0, std::memory_order_relaxed);
-    doneCount = 0;
-    ++batchId;
+    current = &batch;
+    ++generation;
     lock.unlock();
     workCv.notify_all();
 
     lock.lock();
-    doneCv.wait(lock, [&] { return doneCount == batchTotal; });
-    batchFn = nullptr;
-    batchTotal = 0;
-    batchErrors = nullptr;
-    batchContext = DeadlineContext();
-    lock.unlock();
+    doneCv.wait(lock, [&] {
+        return batch.done == batch.total && batch.active == 0;
+    });
+    current = nullptr;
     return errors;
 }
 
@@ -104,18 +103,19 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 void
 ThreadPool::workerMain()
 {
-    uint64_t seenBatch = 0;
+    uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mutex);
     while (true) {
-        workCv.wait(lock,
-                    [&] { return shutdown || batchId != seenBatch; });
+        workCv.wait(lock, [&] { return shutdown || generation != seen; });
         if (shutdown)
             return;
-        seenBatch = batchId;
-        const std::function<void(size_t)> *fn = batchFn;
-        size_t total = batchTotal;
-        std::exception_ptr *errors = batchErrors;
-        DeadlineContext context = batchContext;
+        seen = generation;
+        // A late wake-up may find the batch already retired; there is
+        // nothing to adopt then.
+        Batch *batch = current;
+        if (batch == nullptr)
+            continue;
+        ++batch->active;
         lock.unlock();
 
         size_t completed = 0;
@@ -124,18 +124,19 @@ ThreadPool::workerMain()
             // Mirror the batch caller's deadline/cancellation context
             // exactly, so a worker thread is bounded the same way the
             // caller would be running the task inline.
-            ScopedDeadline adopt(ScopedDeadline::AdoptTag{}, context);
+            ScopedDeadline adopt(ScopedDeadline::AdoptTag{},
+                                 batch->context);
             while (true) {
-                size_t i =
-                    nextIndex.fetch_add(1, std::memory_order_relaxed);
-                if (i >= total)
+                size_t i = batch->nextIndex.fetch_add(
+                    1, std::memory_order_relaxed);
+                if (i >= batch->total)
                     break;
                 try {
-                    (*fn)(i);
+                    (*batch->fn)(i);
                 } catch (...) {
                     // Each index is claimed by exactly one worker, so
                     // its error slot is written without a lock.
-                    errors[i] = std::current_exception();
+                    batch->errors[i] = std::current_exception();
                 }
                 ++completed;
             }
@@ -143,8 +144,9 @@ ThreadPool::workerMain()
         tls_in_pool_task = false;
 
         lock.lock();
-        doneCount += completed;
-        if (doneCount == total)
+        batch->done += completed;
+        --batch->active;
+        if (batch->done == batch->total && batch->active == 0)
             doneCv.notify_all();
     }
 }

@@ -96,6 +96,24 @@ class ThreadPool
     parallelForAll(size_t n, const std::function<void(size_t)> &fn);
 
   private:
+    /**
+     * One published batch. It lives on the publishing caller's stack;
+     * a worker adopts it by generation and holds it (`active`) while
+     * claiming indices from its own counter, and the caller returns
+     * only once every index is done and every adopter has let go, so
+     * no worker ever claims from, or runs the fn of, a retired batch.
+     */
+    struct Batch
+    {
+        const std::function<void(size_t)> *fn = nullptr;
+        size_t total = 0;
+        std::exception_ptr *errors = nullptr;  ///< one slot per index
+        DeadlineContext context;    ///< caller's, adopted by workers
+        std::atomic<size_t> nextIndex{0};
+        size_t done = 0;            ///< guarded by the pool mutex
+        int active = 0;             ///< adopters; guarded likewise
+    };
+
     void workerMain();
 
     const int jobCount;
@@ -104,13 +122,8 @@ class ThreadPool
     std::mutex mutex;
     std::condition_variable workCv;  ///< workers: a new batch arrived
     std::condition_variable doneCv;  ///< caller: the batch drained
-    const std::function<void(size_t)> *batchFn = nullptr;
-    size_t batchTotal = 0;
-    std::exception_ptr *batchErrors = nullptr;  ///< one slot per index
-    DeadlineContext batchContext;    ///< caller's, adopted by workers
-    std::atomic<size_t> nextIndex{0};
-    size_t doneCount = 0;            ///< guarded by mutex
-    uint64_t batchId = 0;            ///< guarded by mutex
+    Batch *current = nullptr;        ///< guarded by mutex
+    uint64_t generation = 0;         ///< guarded by mutex
     bool shutdown = false;           ///< guarded by mutex
 };
 

@@ -170,6 +170,15 @@ struct BadCase
     const char *text;
 };
 
+// Without a printer gtest lists a BadCase as its raw bytes, i.e. two
+// string addresses, so the listed test names changed on every run
+// under address-space randomization. Print the case name instead.
+void
+PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class LirErrors : public ::testing::TestWithParam<BadCase>
 {
 };

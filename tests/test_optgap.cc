@@ -4,8 +4,8 @@
  * branch-and-bound search never costs more than the KL incumbent,
  * proves optimality on the shipped kernels, degrades to Unproven
  * (keeping the incumbent) under a node budget, keeps documents
- * byte-identical across jobs and cache states, validates its knobs,
- * and fragments the compile-cache key only when it can matter.
+ * byte-identical across jobs, validates its knobs, and fragments the
+ * canonical compile key (serve's dedup key) only when it can matter.
  */
 
 #include <gtest/gtest.h>
@@ -251,7 +251,7 @@ TEST(ExactPartition, NegativeKnobsAreInvalidInput)
     EXPECT_EQ(c.status().code(), ErrorCode::InvalidInput);
 }
 
-// ------------------------------------------------------------ cache key
+// ---------------------------------------------------- compile key
 
 TEST(ExactPartition, CacheKeyFragmentsOnlyWhenItCanMatter)
 {
@@ -269,8 +269,8 @@ TEST(ExactPartition, CacheKeyFragmentsOnlyWhenItCanMatter)
                         Technique::Selective, exact_opts);
     EXPECT_NE(kl_key, exact_key);
 
-    // Under KL the exact knobs cannot change the program: one cache
-    // entry must serve every threshold/budget value.
+    // Under KL the exact knobs cannot change the program: one key
+    // (one dedup group) must serve every threshold/budget value.
     DriverOptions kl_tweaked = kl_opts;
     kl_tweaked.partition.exactThreshold = 7;
     kl_tweaked.partition.exactMaxNodes = 123;
@@ -288,28 +288,22 @@ TEST(ExactPartition, CacheKeyFragmentsOnlyWhenItCanMatter)
 
 // ------------------------------------------------------------ documents
 
-TEST(ExactPartition, ReportsAreIdenticalAcrossJobsAndCacheState)
+TEST(ExactPartition, ReportsAreIdenticalAcrossJobs)
 {
     Suite suite = makeSuite("125.turb3d");
     Machine machine = paperMachine();
 
-    auto render = [&](int jobs, bool cache) {
-        compileCacheClear();
-        bool was = compileCacheEnabled();
-        compileCacheSetEnabled(cache);
+    auto render = [&](int jobs) {
         EvaluateOptions options;
         options.jobs = jobs;
         options.driver.partition.strategy = PartitionStrategy::Exact;
         SuiteReport report = evaluateSuite(
             suite, machine, Technique::Selective, options);
-        compileCacheSetEnabled(was);
         return jsonOfSuiteReport(report).dump(2);
     };
 
-    std::string serial = render(1, true);
-    EXPECT_EQ(serial, render(8, true));
-    EXPECT_EQ(serial, render(1, false));
-    EXPECT_EQ(serial, render(8, false));
+    std::string serial = render(1);
+    EXPECT_EQ(serial, render(8));
     // The exact detail must actually be in the document.
     EXPECT_NE(serial.find("\"exact\""), std::string::npos);
     EXPECT_NE(serial.find("\"kl_cost\""), std::string::npos);

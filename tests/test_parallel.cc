@@ -1,16 +1,20 @@
 /**
  * @file
- * Tests for the parallel-compilation layer: the fixed thread pool,
- * thread-local stat sinks, the structural compile cache, and the
+ * Tests for the parallel-compilation layer: the fixed thread pool
+ * (including a batch-handoff stress run under a watchdog),
+ * thread-local stat sinks, the batch service's dedup key, and the
  * headline determinism contract — evaluateSuite and the bench
- * documents built from it are byte-identical for every --jobs value
- * and for cold vs warm caches (stats.cache aside, which records the
- * cache's own traffic).
+ * documents built from it are byte-identical for every --jobs value.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -164,6 +168,71 @@ TEST(ThreadPool, RecordsBatchAndTaskStats)
     EXPECT_EQ(sink.value("pool.tasks"), 5);
 }
 
+/**
+ * Run `body` on a helper thread and abort the process if it has not
+ * finished after `limit`: a hang then fails in seconds, not at the
+ * ctest timeout.
+ */
+void
+runWithWatchdog(std::chrono::seconds limit,
+                const std::function<void()> &body)
+{
+    std::promise<void> finished;
+    std::future<void> done = finished.get_future();
+    std::thread runner([&] {
+        body();
+        finished.set_value();
+    });
+    if (done.wait_for(limit) != std::future_status::ready) {
+        std::fprintf(stderr, "watchdog: test still running after %llds\n",
+                     static_cast<long long>(limit.count()));
+        std::abort();
+    }
+    runner.join();
+}
+
+TEST(ThreadPoolStress, BackToBackBatchesNeverLoseOrStealIndices)
+{
+    // Many tiny batches back to back on one pool: a worker that wakes
+    // late must never claim the next batch's indices or run a retired
+    // batch's fn. A lost index hangs the caller (the watchdog fires);
+    // a stolen one shows up as a wrong visit count.
+    runWithWatchdog(std::chrono::seconds(60), [] {
+        StatsRegistry sink;
+        ScopedStatsSink scope(sink);
+        ThreadPool pool(4);
+        const size_t kBatches = 100000;
+        std::vector<int> visits(8);
+        size_t bad = 0;
+        for (size_t b = 0; b < kBatches && bad == 0; ++b) {
+            size_t n = 2 + b % 7;
+            std::fill(visits.begin(), visits.end(), 0);
+            std::vector<std::exception_ptr> errors;
+            if (b % 3 == 0) {
+                // Throwing bodies: the failed index still counts as
+                // done, and its error lands in its own slot.
+                errors = pool.parallelForAll(n, [&](size_t i) {
+                    ++visits[i];
+                    if (i == b % n)
+                        throw std::runtime_error("boom");
+                });
+            } else {
+                errors = pool.parallelForAll(
+                    n, [&](size_t i) { ++visits[i]; });
+            }
+            for (size_t i = 0; i < n; ++i) {
+                bool threw = errors[i] != nullptr;
+                bool should = b % 3 == 0 && i == b % n;
+                if (visits[i] != 1 || threw != should)
+                    ++bad;
+            }
+        }
+        EXPECT_EQ(bad, 0u);
+        EXPECT_EQ(sink.value("pool.batches"),
+                  static_cast<int64_t>(kBatches));
+    });
+}
+
 // ---------------------------------------------------------------------
 // Thread-local stat sinks.
 
@@ -193,16 +262,6 @@ TEST(StatsSink, RedirectsAndMergesInOrder)
     EXPECT_EQ(outer.value("x.gauge"), 20);   // last merge wins
 }
 
-TEST(StatsSink, MergeFilterPrefixDropsKeys)
-{
-    StatsRegistry src, dst;
-    src.add("cache.hit", 3);
-    src.add("driver.compiles", 2);
-    dst.mergeFrom(src, "cache.");
-    EXPECT_EQ(dst.value("cache.hit"), 0);
-    EXPECT_EQ(dst.value("driver.compiles"), 2);
-}
-
 TEST(StatsSink, ToJsonCanZeroTimerNs)
 {
     StatsRegistry reg;
@@ -216,9 +275,9 @@ TEST(StatsSink, ToJsonCanZeroTimerNs)
 }
 
 // ---------------------------------------------------------------------
-// Structural compile cache.
+// End-to-end determinism.
 
-const char *kCacheSaxpy = R"(
+const char *kSaxpy = R"(
 array X f64 4096
 array Y f64 4096
 loop saxpy {
@@ -233,53 +292,44 @@ loop saxpy {
 }
 )";
 
-class CompileCacheTest : public ::testing::Test
+/** The full selvec-bench-v1 document a bench binary would emit for
+ *  one suite, with stats taken from `sink` (timers zeroed: wall time
+ *  is the one legitimately nondeterministic quantity). */
+std::string
+documentOf(const SuiteReport &base,
+           const std::vector<SuiteReport> &techniques,
+           const StatsRegistry &sink)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        wasEnabled = compileCacheEnabled();
-        compileCacheSetEnabled(true);
-        compileCacheClear();
-    }
-
-    void
-    TearDown() override
-    {
-        compileCacheClear();
-        compileCacheSetEnabled(wasEnabled);
-    }
-
-    bool wasEnabled = true;
-};
-
-TEST_F(CompileCacheTest, StructuralCacheComputesOncePerKey)
-{
-    StructuralCache<int> cache;
-    std::atomic<int> computed{0};
-    auto compute = [&] {
-        computed.fetch_add(1);
-        return 42;
-    };
-    int64_t hits0 = processStats().value("cache.hit");
-    EXPECT_EQ(*cache.lookupOrCompute("k", compute), 42);
-    EXPECT_EQ(*cache.lookupOrCompute("k", compute), 42);
-    EXPECT_EQ(computed.load(), 1);
-    EXPECT_EQ(processStats().value("cache.hit"), hits0 + 1);
-
-    // Concurrent requests for one key deduplicate.
-    ThreadPool pool(8);
-    pool.parallelFor(16, [&](size_t) {
-        EXPECT_EQ(*cache.lookupOrCompute("k2", compute), 42);
-    });
-    EXPECT_EQ(computed.load(), 2);
-    EXPECT_EQ(cache.size(), 2u);
+    JsonValue doc = benchDocument("test_parallel", "quick");
+    JsonValue suites = JsonValue::array();
+    suites.append(jsonOfSuiteComparison(base, techniques));
+    doc.set("suites", std::move(suites));
+    doc.set("stats", sink.toJson(false));
+    return doc.dump(2);
 }
 
-TEST_F(CompileCacheTest, KeySeparatesStructureNotNames)
+std::string
+runSuiteDocument(const Suite &suite, const Machine &machine, int jobs)
 {
-    Module m = parseLirOrDie(kCacheSaxpy);
+    StatsRegistry sink;
+    ScopedStatsSink scope(sink);
+    EvaluateOptions options;
+    options.jobs = jobs;
+    SuiteReport base =
+        evaluateSuite(suite, machine, Technique::ModuloOnly, options);
+    SuiteReport full =
+        evaluateSuite(suite, machine, Technique::Full, options);
+    SuiteReport sel =
+        evaluateSuite(suite, machine, Technique::Selective, options);
+    return documentOf(base, {full, sel}, sink);
+}
+
+// compileCacheKey() is the batch service's dedup key: it names a
+// compile request by structure, so presentation fields do not
+// fragment it and knobs only do where they reach the codepath.
+TEST(CompileCacheTest, KeySeparatesStructureNotNames)
+{
+    Module m = parseLirOrDie(kSaxpy);
     Machine a = paperMachine();
     Machine b = paperMachine();
     b.name = "renamed-but-identical";
@@ -314,122 +364,7 @@ TEST_F(CompileCacheTest, KeySeparatesStructureNotNames)
                               comm_off));
 }
 
-TEST_F(CompileCacheTest, HitReturnsBitIdenticalProgram)
-{
-    Module m = parseLirOrDie(kCacheSaxpy);
-    Machine machine = paperMachine();
-    for (Technique t :
-         {Technique::ModuloOnly, Technique::Traditional, Technique::Full,
-          Technique::Selective}) {
-        compileCacheClear();
-        int64_t miss0 = processStats().value("cache.miss");
-        int64_t hit0 = processStats().value("cache.hit");
-
-        ArrayTable cold_arrays = m.arrays;
-        Expected<CompiledProgram> cold = tryCompileLoop(
-            m.loops[0], cold_arrays, machine, t);
-        ASSERT_TRUE(cold.ok());
-        EXPECT_GT(processStats().value("cache.miss"), miss0);
-
-        ArrayTable warm_arrays = m.arrays;
-        Expected<CompiledProgram> warm = tryCompileLoop(
-            m.loops[0], warm_arrays, machine, t);
-        ASSERT_TRUE(warm.ok());
-        EXPECT_GT(processStats().value("cache.hit"), hit0);
-
-        // The replayed program and array table are bit-identical to
-        // the first compile's.
-        EXPECT_EQ(jsonOfCompiledProgram(cold.value()).dump(),
-                  jsonOfCompiledProgram(warm.value()).dump())
-            << techniqueName(t);
-        ASSERT_EQ(cold_arrays.size(), warm_arrays.size());
-        for (ArrayId a = 0; a < cold_arrays.size(); ++a) {
-            EXPECT_EQ(cold_arrays[a].name, warm_arrays[a].name);
-            EXPECT_EQ(cold_arrays[a].size, warm_arrays[a].size);
-        }
-    }
-}
-
-TEST_F(CompileCacheTest, HitReplaysStatsDelta)
-{
-    Module m = parseLirOrDie(kCacheSaxpy);
-    Machine machine = paperMachine();
-
-    StatsRegistry cold_stats;
-    {
-        ScopedStatsSink sink(cold_stats);
-        ArrayTable arrays = m.arrays;
-        ASSERT_TRUE(
-            tryCompileLoop(m.loops[0], arrays, machine,
-                           Technique::Selective).ok());
-    }
-    StatsRegistry warm_stats;
-    {
-        ScopedStatsSink sink(warm_stats);
-        ArrayTable arrays = m.arrays;
-        ASSERT_TRUE(
-            tryCompileLoop(m.loops[0], arrays, machine,
-                           Technique::Selective).ok());
-    }
-    // The warm run's compile stats are the replayed delta: identical
-    // to the cold run's, so merged reports are independent of which
-    // requests hit. (cache.* itself goes to the process registry.)
-    EXPECT_EQ(cold_stats.toJson(false).dump(),
-              warm_stats.toJson(false).dump());
-}
-
-TEST_F(CompileCacheTest, BypassScopeDisablesCaching)
-{
-    EXPECT_TRUE(compileCacheActive());
-    {
-        CacheBypassScope bypass;
-        EXPECT_FALSE(compileCacheActive());
-        CacheBypassScope nested;
-        EXPECT_FALSE(compileCacheActive());
-    }
-    EXPECT_TRUE(compileCacheActive());
-
-    compileCacheSetEnabled(false);
-    EXPECT_FALSE(compileCacheActive());
-    compileCacheSetEnabled(true);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end determinism.
-
-/** The full selvec-bench-v1 document a bench binary would emit for
- *  one suite, with stats taken from `sink` (timers zeroed: wall time
- *  is the one legitimately nondeterministic quantity). */
-std::string
-documentOf(const SuiteReport &base,
-           const std::vector<SuiteReport> &techniques,
-           const StatsRegistry &sink)
-{
-    JsonValue doc = benchDocument("test_parallel", "quick");
-    JsonValue suites = JsonValue::array();
-    suites.append(jsonOfSuiteComparison(base, techniques));
-    doc.set("suites", std::move(suites));
-    doc.set("stats", sink.toJson(false));
-    return doc.dump(2);
-}
-
-std::string
-runSuiteDocument(const Suite &suite, const Machine &machine, int jobs)
-{
-    StatsRegistry sink;
-    ScopedStatsSink scope(sink);
-    EvaluateOptions options;
-    options.jobs = jobs;
-    SuiteReport base =
-        evaluateSuite(suite, machine, Technique::ModuloOnly, options);
-    SuiteReport full =
-        evaluateSuite(suite, machine, Technique::Full, options);
-    SuiteReport sel =
-        evaluateSuite(suite, machine, Technique::Selective, options);
-    return documentOf(base, {full, sel}, sink);
-}
-
-TEST_F(CompileCacheTest, SuiteDocumentsAreJobCountInvariant)
+TEST(Determinism, SuiteDocumentsAreJobCountInvariant)
 {
     Suite suite = makeSuite("171.swim");
     for (WorkloadLoop &wl : suite.loops) {
@@ -438,27 +373,15 @@ TEST_F(CompileCacheTest, SuiteDocumentsAreJobCountInvariant)
     }
     Machine machine = paperMachine();
 
-    compileCacheClear();
     std::string serial = runSuiteDocument(suite, machine, 1);
-    compileCacheClear();
-    std::string parallel = runSuiteDocument(suite, machine, 8);
-    EXPECT_EQ(serial, parallel);
-
-    // Warm cache (no clear): the merged documents are still
-    // byte-identical — hits replay the cold run's stats delta.
-    std::string warm = runSuiteDocument(suite, machine, 8);
-    EXPECT_EQ(serial, warm);
-
-    // And with the cache off entirely.
-    compileCacheSetEnabled(false);
-    std::string uncached = runSuiteDocument(suite, machine, 8);
-    compileCacheSetEnabled(true);
-    EXPECT_EQ(serial, uncached);
+    EXPECT_EQ(serial, runSuiteDocument(suite, machine, 8));
+    // A second run in the same process emits the same bytes.
+    EXPECT_EQ(serial, runSuiteDocument(suite, machine, 8));
 }
 
-TEST_F(CompileCacheTest, ResilientCompileReportIsJobCountInvariant)
+TEST(Determinism, ResilientCompileReportIsJobCountInvariant)
 {
-    Module m = parseLirOrDie(kCacheSaxpy);
+    Module m = parseLirOrDie(kSaxpy);
     Machine machine = paperMachine();
     for (Technique t : {Technique::Selective, Technique::ModuloOnly}) {
         ArrayTable serial_arrays = m.arrays;

@@ -3,19 +3,17 @@
 
 Usage: validate_ci.py [path/to/ci.yml]
 
-Checks that the workflow parses as YAML and still carries the ten
+Checks that the workflow parses as YAML and still carries the nine
 contract lanes — build-test (gcc/clang x Release/Debug), sanitize
-(fuzzish label under ASan/UBSan), tsan (parallel + fuzzish +
-cachedisk labels under ThreadSanitizer), format, bench-smoke
+(fuzzish label under ASan/UBSan), tsan (parallel + fuzzish + serve
+labels under ThreadSanitizer), format, bench-smoke
 (jobs-determinism check, JSON artifact + baseline comparison),
 perf-smoke (hotpath tests, SELVEC_CHECK_INCREMENTAL cross-check run,
 artifact upload and the exact-counter gate against
 BENCH_hotpath.json), fuzz-smoke (containment label, the
 deadline-bounded selvec_fuzz sweep with --repro-dir and
 --replay-check, and the on-failure repro-bundle artifact upload),
-cache-persist (cachedisk label, cold/warm --cache-dir runs compared
-byte-for-byte, the warm disk-hit and corrupt-entry stderr
-assertions, and the cache-directory artifact upload), optgap
+optgap
 (the optgap ctest label — KL-vs-exact differentials plus the strict
 CLI-parsing regressions — then bench_optgap artifact upload and the
 exact-counter gate against BENCH_optgap.json) and sim-speed (the
@@ -80,7 +78,7 @@ def main():
 
     for required in ("build-test", "sanitize", "tsan", "format",
                      "bench-smoke", "perf-smoke", "fuzz-smoke",
-                     "cache-persist", "optgap", "sim-speed"):
+                     "optgap", "sim-speed"):
         if required not in jobs:
             fail(f"required job missing: {required}")
 
@@ -112,8 +110,8 @@ def main():
     if "SELVEC_SANITIZE=thread" not in tsan:
         fail("tsan must configure -DSELVEC_SANITIZE=thread")
     if "parallel" not in tsan or "fuzzish" not in tsan \
-            or "cachedisk" not in tsan:
-        fail("tsan must run the parallel, fuzzish and cachedisk "
+            or "serve" not in tsan:
+        fail("tsan must run the parallel, fuzzish and serve "
              "ctest labels")
     if "clang-format" not in steps_text("format"):
         fail("format job must invoke clang-format")
@@ -172,33 +170,6 @@ def main():
     if "upload-artifact" not in ext:
         fail("fuzz-extended must upload repro bundles on failure")
 
-    persist = steps_text("cache-persist")
-    if "-L cachedisk" not in persist:
-        fail("cache-persist must run the cachedisk ctest label")
-    if persist.count("--cache-dir") < 3:
-        fail("cache-persist must run cold, warm and post-corruption "
-             "bench passes against one --cache-dir")
-    if "--jobs 8" not in persist or "--jobs 1" not in persist:
-        fail("cache-persist must check warm byte-identity at "
-             "--jobs 1 and --jobs 8")
-    if "cmp " not in persist:
-        fail("cache-persist must byte-compare cold and warm documents")
-    if "hit=[1-9]" not in persist:
-        fail("cache-persist must assert disk hits on the warm run")
-    if "corrupt=[1-9]" not in persist:
-        fail("cache-persist must corrupt an entry and assert the "
-             "corrupt counter")
-    # Warm runs never probe schedule-level entries (a compile-level
-    # disk hit skips the nested lookups), so corrupting an arbitrary
-    # entry can make the corrupt-counter assertion vacuous.
-    if '"level": "compile"' not in persist:
-        fail("cache-persist must corrupt a compile-level entry "
-             "(schedule-level entries are not probed on warm runs)")
-    if "quarantine" not in persist:
-        fail("cache-persist must check the quarantined entry remains")
-    if "upload-artifact" not in persist:
-        fail("cache-persist must upload the cache directory artifact")
-
     optgap = steps_text("optgap")
     if "-L optgap" not in optgap:
         fail("optgap must run the optgap ctest label")
@@ -226,7 +197,7 @@ def main():
     if "SELVEC_CHECK_SIM" not in sim_env:
         fail("sim-speed must run the suite under SELVEC_CHECK_SIM")
 
-    print(f"ok: {os.path.relpath(path)} has all ten contract lanes")
+    print(f"ok: {os.path.relpath(path)} has all nine contract lanes")
 
 
 if __name__ == "__main__":
