@@ -35,7 +35,7 @@ geomeanSpeedup(const Machine &machine, Technique technique,
     double product = 1.0;
     int count = 0;
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         EvaluateOptions eval;
         eval.driver = options;
         SuiteReport base = evaluateSuite(suite, machine,
@@ -210,11 +210,11 @@ loop stencil {
         ArrayTable arrays = m.arrays;
         DriverOptions options;
         CompiledProgram p =
-            compileLoop(m.loops[0], arrays, machine, t, options);
+            compileLoopOrDie(m.loops[0], arrays, machine, t, options);
         MemoryImage mem(arrays);
         mem.fillPattern(61);
         ExecResult r =
-            runCompiled(p, arrays, machine, mem, env, 4096);
+            tryRunCompiled(p, arrays, machine, mem, env, 4096).takeValue();
         std::printf("%-18s %10.2f %10lld\n", techniqueName(t),
                     p.iiPerIteration(),
                     static_cast<long long>(r.cycles));
@@ -223,13 +223,13 @@ loop stencil {
         ArrayTable arrays = m.arrays;
         DriverOptions options;
         options.iterSplitUnroll = unroll;
-        CompiledProgram p = compileLoop(m.loops[0], arrays, machine,
-                                        Technique::IterationSplit,
-                                        options);
+        CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, machine,
+                                             Technique::IterationSplit,
+                                             options);
         MemoryImage mem(arrays);
         mem.fillPattern(61);
         ExecResult r =
-            runCompiled(p, arrays, machine, mem, env, 4096);
+            tryRunCompiled(p, arrays, machine, mem, env, 4096).takeValue();
         std::printf("iter-split (u=%d)  %10.2f %10lld\n", unroll,
                     p.iiPerIteration(),
                     static_cast<long long>(r.cycles));

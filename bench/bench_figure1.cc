@@ -52,7 +52,7 @@ printTechnique(const selvec::Loop &loop,
     using namespace selvec;
     ArrayTable arrays = base_arrays;
     CompiledProgram program =
-        compileLoop(loop, arrays, machine, technique);
+        compileLoopOrDie(loop, arrays, machine, technique);
     std::printf("--- %s ---\n", title);
     std::printf("per-original-iteration II: %.2f\n",
                 program.iiPerIteration());

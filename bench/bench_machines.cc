@@ -26,7 +26,7 @@ geomean(const Machine &machine, Technique technique)
     double product = 1.0;
     int count = 0;
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         SuiteReport base =
             evaluateSuite(suite, machine, Technique::ModuloOnly);
         SuiteReport tech =

@@ -178,12 +178,16 @@ main(int argc, char **argv)
             int64_t n = 64;
             MemoryImage mem(arrays_ex);
             mem.fillPattern(17);
-            runCompiled(ex_prog.value(), arrays_ex, machine, mem,
-                        env, n);
-            MemoryImage ref(arrays_ex);
-            ref.fillPattern(17);
-            runReference(loop, arrays_ex, machine, ref, env, n);
-            std::string diff = mem.diff(ref);
+            ExecResult run = tryRunCompiled(ex_prog.value(), arrays_ex,
+                                            machine, mem, env, n)
+                                 .takeValue();
+            MemoryImage ref_mem(arrays_ex);
+            ref_mem.fillPattern(17);
+            ExecResult ref = tryRunReference(loop, arrays_ex, machine,
+                                             ref_mem, env, n)
+                                 .takeValue();
+            std::string diff =
+                referenceMismatch(loop, mem, run, ref_mem, ref);
             if (!diff.empty()) {
                 std::fprintf(stderr, "%s: exact program DIVERGED: "
                              "%s\n", file.c_str(), diff.c_str());

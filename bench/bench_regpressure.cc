@@ -36,8 +36,8 @@ suitePressure(const Suite &suite, const Machine &machine,
     FilePressure result;
     for (const WorkloadLoop &wl : suite.loops) {
         ArrayTable arrays = suite.module.arrays;
-        CompiledProgram p = compileLoop(suite.loopOf(wl), arrays,
-                                        machine, technique);
+        CompiledProgram p = compileLoopOrDie(suite.loopOf(wl), arrays,
+                                             machine, technique);
         for (const CompiledLoop &cl : p.loops) {
             RegPressure rp = computeMaxLive(cl.main, cl.mainSchedule);
             result.scalarInt = std::max(result.scalarInt, rp.scalarInt);
@@ -61,7 +61,7 @@ main()
     std::printf("%-14s %16s %16s %16s\n", "Benchmark", "modulo",
                 "full", "selective");
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         FilePressure base =
             suitePressure(suite, machine, Technique::ModuloOnly);
         FilePressure full =

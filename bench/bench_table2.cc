@@ -58,7 +58,7 @@ main(int argc, char **argv)
     int count = 0;
 
     for (const PaperRow &row : kPaper) {
-        Suite suite = makeSuite(row.name);
+        Suite suite = makeSuiteOrDie(row.name);
         if (cli.quick)
             applyQuickMode(suite);
         EvaluateOptions eopt = cli.evalOptions();

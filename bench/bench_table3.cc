@@ -64,7 +64,7 @@ main(int argc, char **argv)
                 "II better/equal/worse");
 
     for (const PaperRow &row : kPaper) {
-        Suite suite = makeSuite(row.name);
+        Suite suite = makeSuiteOrDie(row.name);
         if (cli.quick)
             applyQuickMode(suite);
         EvaluateOptions eopt = cli.evalOptions();

@@ -50,7 +50,7 @@ main(int argc, char **argv)
                 "Considered (paper)", "Ignored (paper)");
 
     for (const PaperRow &row : kPaper) {
-        Suite suite = makeSuite(row.name);
+        Suite suite = makeSuiteOrDie(row.name);
         if (cli.quick)
             applyQuickMode(suite);
         SuiteReport base = evaluateSuite(

@@ -48,7 +48,7 @@ main(int argc, char **argv)
                 "Aligned (paper)");
 
     for (const PaperRow &row : kPaper) {
-        Suite suite = makeSuite(row.name);
+        Suite suite = makeSuiteOrDie(row.name);
         if (cli.quick)
             applyQuickMode(suite);
 

@@ -6,8 +6,10 @@
  * The flow below is the whole public API story:
  *   1. describe the loop in LIR (or build it with LoopBuilder);
  *   2. pick a machine;
- *   3. compileLoop() with a technique;
- *   4. runCompiled() on a MemoryImage and read cycles and live-outs.
+ *   3. compileLoopOrDie() with a technique;
+ *   4. tryRunCompiled() on a MemoryImage; takeValue() of its Expected
+ *      result (a failed run dies with its status) holds the cycles
+ *      and live-outs.
  */
 
 #include <cstdio>
@@ -54,9 +56,9 @@ loop dot {
     // 3. Compile under the baseline and under selective vectorization.
     ArrayTable arrays = module.arrays;
     CompiledProgram baseline =
-        compileLoop(dot, arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(dot, arrays, machine, Technique::ModuloOnly);
     CompiledProgram selective =
-        compileLoop(dot, arrays, machine, Technique::Selective);
+        compileLoopOrDie(dot, arrays, machine, Technique::Selective);
 
     std::printf("baseline II/iteration:  %.2f\n",
                 baseline.iiPerIteration());
@@ -73,18 +75,18 @@ loop dot {
 
     MemoryImage base_mem(arrays);
     base_mem.fillPattern(1);
-    ExecResult base = runCompiled(baseline, arrays, machine, base_mem,
-                                  env, 4096);
+    ExecResult base = tryRunCompiled(baseline, arrays, machine, base_mem,
+                                     env, 4096).takeValue();
 
     MemoryImage sel_mem(arrays);
     sel_mem.fillPattern(1);
-    ExecResult sel = runCompiled(selective, arrays, machine, sel_mem,
-                                 env, 4096);
+    ExecResult sel = tryRunCompiled(selective, arrays, machine, sel_mem,
+                                    env, 4096).takeValue();
 
     MemoryImage ref_mem(arrays);
     ref_mem.fillPattern(1);
     ExecResult ref =
-        runReference(dot, arrays, machine, ref_mem, env, 4096);
+        tryRunReference(dot, arrays, machine, ref_mem, env, 4096).takeValue();
 
     std::printf("baseline cycles:  %lld\n",
                 static_cast<long long>(base.cycles));

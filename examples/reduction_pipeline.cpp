@@ -49,8 +49,8 @@ loop sumsq {
 
     MemoryImage ref_mem(module.arrays);
     ref_mem.fillPattern(3);
-    ExecResult ref = runReference(loop, module.arrays, machine,
-                                  ref_mem, env, n);
+    ExecResult ref = tryRunReference(loop, module.arrays, machine,
+                                     ref_mem, env, n).takeValue();
     double want = ref.env.at("s1").laneF(0);
 
     struct Config
@@ -64,12 +64,13 @@ loop sumsq {
         ArrayTable arrays = module.arrays;
         DriverOptions options;
         options.vectorize.recognizeReductions = config.reductions;
-        CompiledProgram p = compileLoop(loop, arrays, machine,
-                                        Technique::Selective, options);
+        CompiledProgram p = compileLoopOrDie(loop, arrays, machine,
+                                             Technique::Selective, options);
 
         MemoryImage mem(arrays);
         mem.fillPattern(3);
-        ExecResult r = runCompiled(p, arrays, machine, mem, env, n);
+        ExecResult r =
+            tryRunCompiled(p, arrays, machine, mem, env, n).takeValue();
         double got = r.env.at("s1").laneF(0);
         if (config.reductions == false)
             baseline_cycles = r.cycles;

@@ -59,15 +59,16 @@ loop stencil {
     for (Technique t : {Technique::ModuloOnly, Technique::Traditional,
                         Technique::Full, Technique::Selective}) {
         ArrayTable arrays = module.arrays;
-        CompiledProgram p = compileLoop(stencil, arrays, machine, t);
+        CompiledProgram p = compileLoopOrDie(stencil, arrays, machine, t);
         MemoryImage mem(arrays);
         mem.fillPattern(7);
-        ExecResult r = runCompiled(p, arrays, machine, mem, env, n);
+        ExecResult r =
+            tryRunCompiled(p, arrays, machine, mem, env, n).takeValue();
 
         // Always check against the oracle.
         MemoryImage ref(arrays);
         ref.fillPattern(7);
-        runReference(stencil, arrays, machine, ref, env, n);
+        tryRunReference(stencil, arrays, machine, ref, env, n).takeValue();
         std::string diff = mem.diff(ref);
         if (!diff.empty()) {
             std::printf("%s DIVERGED: %s\n", techniqueName(t),

@@ -33,7 +33,7 @@ summary()
     std::printf("%-14s %8s %8s %8s %8s\n", "suite", "trad", "full",
                 "select", "loops");
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         SuiteReport base =
             evaluateSuite(suite, machine, Technique::ModuloOnly);
         SuiteReport trad =
@@ -53,7 +53,7 @@ void
 detail(const std::string &name)
 {
     Machine machine = paperMachine();
-    Suite suite = makeSuite(name);
+    Suite suite = makeSuiteOrDie(name);
     std::printf("%s — %s\n\n", suite.name.c_str(),
                 suite.description.c_str());
 

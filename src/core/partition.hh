@@ -95,11 +95,11 @@ struct PartitionResult
      *  transfer — the communication cut of the configuration). */
     int crossingValues = 0;
 
-    /** True when the ambient deadline (or cancellation) stopped the
-     *  KL search early. The result is still the best configuration
-     *  seen — partitioning is an anytime algorithm — but callers that
-     *  must honor the containment contract (tryPartitionOps) convert
-     *  the flag into a DeadlineExceeded / Cancelled status. */
+    /** True when the ambient deadline stopped the KL search early.
+     *  The result is still the best configuration seen — partitioning
+     *  is an anytime algorithm — but callers that must honor the
+     *  containment contract (tryPartitionOps) convert the flag into a
+     *  DeadlineExceeded status. */
     bool deadlineStopped = false;
 
     /** True when the exact oracle ran (strategy Exact, or Auto under
@@ -151,7 +151,7 @@ PartitionResult partitionOps(const Loop &loop, const VectAnalysis &va,
  * sane), carries the "partition.kl" fault injection point, reports
  * PartitionFailed instead of dying — the driver degrades to full
  * vectorization — and converts a deadline-stopped search into a
- * DeadlineExceeded / Cancelled status.
+ * DeadlineExceeded status.
  */
 Expected<PartitionResult>
 tryPartitionOps(const Loop &loop, const VectAnalysis &va,

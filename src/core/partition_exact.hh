@@ -74,9 +74,9 @@ struct ExactSearchResult
     int64_t nodes = 0;      ///< decision nodes expanded
     int64_t pruned = 0;     ///< subtrees cut by the lower bound
 
-    /** True when the ambient deadline (or cancellation) stopped the
-     *  search; callers convert it to a status exactly as they do for
-     *  the KL partitioner's anytime stop. */
+    /** True when the ambient deadline stopped the search; callers
+     *  convert it to a status exactly as they do for the KL
+     *  partitioner's anytime stop. */
     bool deadlineStopped = false;
 };
 

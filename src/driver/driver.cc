@@ -1,7 +1,5 @@
 #include "driver/driver.hh"
 
-#include <optional>
-
 #include "analysis/depgraph.hh"
 #include "driver/compilecache.hh"
 #include "analysis/recmii.hh"
@@ -14,7 +12,6 @@
 #include "support/faultinject.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
-#include "support/threadpool.hh"
 #include "support/trace.hh"
 #include "vectorize/full.hh"
 #include "vectorize/traditional.hh"
@@ -367,7 +364,7 @@ CompileReport::str() const
 ResilientCompile
 compileLoopResilient(const Loop &loop, ArrayTable &arrays,
                      const Machine &machine, Technique technique,
-                     const DriverOptions &options, int jobs)
+                     const DriverOptions &options)
 {
     TraceSpan span("driver.resilient");
     globalStats().add("driver.resilient.runs");
@@ -385,31 +382,6 @@ compileLoopResilient(const Loop &loop, ArrayTable &arrays,
     }
     size_t tiers = chain.size() + 1;
 
-    // Speculative fan-out: compile every tier concurrently, each
-    // against its own array-table copy and stats sink, then replay
-    // the serial walk over the finished results. Attempts past the
-    // first success are discarded with their sinks unobserved, so
-    // the report and merged stats match the serial chain exactly.
-    std::vector<std::optional<Expected<CompiledProgram>>> speculated;
-    std::vector<ArrayTable> tables;
-    std::vector<StatsRegistry> sinks(tiers);
-    if (jobs > 1 && !faultPlanArmed()) {
-        speculated.resize(tiers);
-        tables.assign(tiers, arrays);
-        TraceContext tctx = traceCurrentContext();
-        ThreadPool pool(jobs);
-        pool.parallelFor(tiers, [&](size_t i) {
-            ScopedStatsSink sink(sinks[i]);
-            TraceContextScope tscope(tctx);
-            bool scalar = i == chain.size();
-            speculated[i] =
-                scalar ? tryCompileScalar(loop, tables[i], machine,
-                                          options)
-                       : tryCompileLoop(loop, tables[i], machine,
-                                        chain[i], options);
-        });
-    }
-
     std::string reason;
     for (size_t tier = 0; tier < tiers; ++tier) {
         bool scalar = tier == chain.size();
@@ -419,21 +391,11 @@ compileLoopResilient(const Loop &loop, ArrayTable &arrays,
         attempt.scalarFallback = scalar;
         attempt.fallbackReason = reason;
 
-        std::optional<Expected<CompiledProgram>> attempted;
-        if (!speculated.empty()) {
-            globalStats().mergeFrom(sinks[tier]);
-            attempted = std::move(speculated[tier]);
-        } else if (scalar) {
-            attempted =
-                tryCompileScalar(loop, arrays, machine, options);
-        } else {
-            attempted = tryCompileLoop(loop, arrays, machine,
-                                       chain[tier], options);
-        }
-        Expected<CompiledProgram> &program = *attempted;
+        Expected<CompiledProgram> program =
+            scalar ? tryCompileScalar(loop, arrays, machine, options)
+                   : tryCompileLoop(loop, arrays, machine, chain[tier],
+                                    options);
         if (program.ok()) {
-            if (!speculated.empty())
-                arrays = std::move(tables[tier]);
             attempt.status = Status::success();
             attempt.iiPerIteration =
                 program.value().iiPerIteration();
@@ -475,85 +437,6 @@ planCompiled(const CompiledProgram &program, const Machine &machine)
             buildExecPlan(cl.cleanup, cl.cleanupSchedule, machine);
     }
     return plans;
-}
-
-ExecResult
-runCompiled(const CompiledProgram &program, const ArrayTable &arrays,
-            const Machine &machine, MemoryImage &mem,
-            const LiveEnv &live_ins, int64_t n,
-            const ProgramPlans *plans)
-{
-    SV_ASSERT(plans == nullptr ||
-                  plans->loops.size() == program.loops.size(),
-              "plans built for a different program");
-    ExecResult result;
-    result.env = live_ins;
-
-    for (size_t li = 0; li < program.loops.size(); ++li) {
-        const CompiledLoop &cl = program.loops[li];
-        int64_t cover = cl.coverage;
-        int64_t j_main = n / cover;
-        int64_t remainder = n - j_main * cover;
-
-        result.cycles += machine.invocationOverhead;
-
-        LiveEnv carried_bridge;
-        if (j_main > 0) {
-            RunOutput out = executeLoop(
-                arrays, cl.main, machine, mem, result.env, j_main, 0,
-                &cl.mainSchedule,
-                plans != nullptr ? &plans->loops[li].main : nullptr);
-            result.cycles += out.cycles;
-            for (auto &[name, v] : out.liveOuts)
-                result.env[name] = v;
-            carried_bridge = std::move(out.carriedFinal);
-            if (out.exited) {
-                // The loop terminated itself: the executor already
-                // selected the exiting replica's observable state.
-                continue;
-            }
-        }
-
-        if (remainder > 0) {
-            LiveEnv cleanup_env = result.env;
-            // The cleanup loop resumes every carried chain from the
-            // main loop's continuation state.
-            if (j_main > 0) {
-                for (const CarriedValue &cv : cl.cleanup.carried) {
-                    const std::string &in_name =
-                        cl.cleanup.valueInfo(cv.in).name;
-                    auto it = carried_bridge.find(in_name);
-                    if (it != carried_bridge.end()) {
-                        cleanup_env[cl.cleanup.valueInfo(cv.init)
-                                        .name] = it->second;
-                    }
-                }
-            }
-            RunOutput out = executeLoop(
-                arrays, cl.cleanup, machine, mem, cleanup_env,
-                remainder, j_main * cover, &cl.cleanupSchedule,
-                plans != nullptr ? &plans->loops[li].cleanup
-                                 : nullptr);
-            result.cycles += out.cycles;
-            for (auto &[name, v] : out.liveOuts)
-                result.env[name] = v;
-        }
-    }
-    return result;
-}
-
-ExecResult
-runReference(const Loop &loop, const ArrayTable &arrays,
-             const Machine &machine, MemoryImage &mem,
-             const LiveEnv &live_ins, int64_t n)
-{
-    RunOutput out =
-        executeLoop(arrays, loop, machine, mem, live_ins, n, 0, nullptr);
-    ExecResult result;
-    result.env = live_ins;
-    for (auto &[name, v] : out.liveOuts)
-        result.env[name] = v;
-    return result;
 }
 
 std::vector<std::string>
@@ -614,9 +497,8 @@ tryRunCompiled(const CompiledProgram &program, const ArrayTable &arrays,
             available[cl.main.valueInfo(id).name] = RtVal{};
     }
 
-    // The bounded mirror of runCompiled: same chaining, but every
-    // constituent execution can trip the watchdog or the ambient
-    // deadline and surface it as a status.
+    // Every constituent execution can trip the watchdog or the
+    // ambient deadline and surface it as a status.
     ExecResult result;
     result.env = live_ins;
     for (size_t li = 0; li < program.loops.size(); ++li) {
@@ -695,6 +577,36 @@ tryRunReference(const Loop &loop, const ArrayTable &arrays,
     for (auto &[name, v] : out.value().liveOuts)
         result.env[name] = v;
     return result;
+}
+
+std::string
+referenceMismatch(const Loop &loop, const MemoryImage &mem,
+                  const ExecResult &run, const MemoryImage &ref_mem,
+                  const ExecResult &ref, bool reassociated)
+{
+    std::string diff = mem.diff(ref_mem);
+    if (!diff.empty())
+        return "memory diverged: " + diff;
+    for (ValueId v : loop.liveOuts) {
+        if (reassociated && loop.typeOf(v) == Type::F64 &&
+            loop.carriedIndexOfUpdate(v) >= 0) {
+            continue;
+        }
+        const std::string &name = loop.valueInfo(v).name;
+        auto want = ref.env.find(name);
+        if (want == ref.env.end())
+            continue;
+        auto got = run.env.find(name);
+        if (got == run.env.end() || !(got->second == want->second)) {
+            return strfmt("live-out '%s' diverged (%s vs %s)",
+                          name.c_str(),
+                          got != run.env.end()
+                              ? got->second.str().c_str()
+                              : "<absent>",
+                          want->second.str().c_str());
+        }
+    }
+    return "";
 }
 
 } // namespace selvec

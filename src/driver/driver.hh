@@ -139,15 +139,6 @@ CompiledProgram compileLoopOrDie(const Loop &loop, ArrayTable &arrays,
                                  Technique technique,
                                  const DriverOptions &options = {});
 
-/** Historic name of compileLoopOrDie. */
-inline CompiledProgram
-compileLoop(const Loop &loop, ArrayTable &arrays,
-            const Machine &machine, Technique technique,
-            const DriverOptions &options = {})
-{
-    return compileLoopOrDie(loop, arrays, machine, technique, options);
-}
-
 /** One tier of the degradation chain, as recorded in a
  *  CompileReport. */
 struct CompileAttempt
@@ -217,21 +208,14 @@ struct ResilientCompile
  * chain). Never fatals; if every tier fails (only possible with
  * persistent fault injection or a degenerate machine), the report
  * carries the last status. `arrays` is only updated when a tier
- * succeeds, and only with that tier's temporaries.
- *
- * `jobs` > 1 compiles every tier speculatively in parallel and then
- * replays the serial walk over the results, so the report (attempt
- * order, fallback reasons, chosen tier, stats of adopted attempts)
- * is identical to a serial run; tiers past the first success are
- * discarded unobserved. A run with an armed fault plan always
- * degrades to serial so hit windows stay ordered. Default 1: exactly today's serial chain.
+ * succeeds, and only with that tier's temporaries. Tiers run
+ * serially and stop at the first success.
  */
 ResilientCompile compileLoopResilient(const Loop &loop,
                                       ArrayTable &arrays,
                                       const Machine &machine,
                                       Technique technique,
-                                      const DriverOptions &options = {},
-                                      int jobs = 1);
+                                      const DriverOptions &options = {});
 
 /**
  * Prebuilt streaming-executor plans for every loop of a compiled
@@ -239,7 +223,7 @@ ResilientCompile compileLoopResilient(const Loop &loop,
  * machine) — not on trip count, memory or live-ins — so a program
  * that executes more than once (the batch service, benches, repeated
  * evaluation probes) builds its plans once with planCompiled() and
- * passes them to runCompiled / tryRunCompiled; those executions then
+ * passes them to tryRunCompiled; those executions then
  * record `sim.plan.reuses` instead of rebuilding (`sim.plan.builds`).
  */
 struct ProgramPlans
@@ -265,24 +249,6 @@ struct ExecResult
 };
 
 /**
- * Run a compiled program over `n` original iterations: each compiled
- * loop executes floor(n/coverage) pipelined body iterations plus its
- * cleanup remainder, chained through live values and carried state.
- */
-ExecResult runCompiled(const CompiledProgram &program,
-                       const ArrayTable &arrays, const Machine &machine,
-                       MemoryImage &mem, const LiveEnv &live_ins,
-                       int64_t n, const ProgramPlans *plans = nullptr);
-
-/**
- * Reference execution of the original loop (sequential interpreter);
- * the oracle every technique must match bit-for-bit.
- */
-ExecResult runReference(const Loop &loop, const ArrayTable &arrays,
-                        const Machine &machine, MemoryImage &mem,
-                        const LiveEnv &live_ins, int64_t n);
-
-/**
  * Source-loop live-in names missing from `live_ins` (lowering-internal
  * "__" values are excluded: they default to zero). Non-empty means an
  * execution would panic on an unbound live-in.
@@ -291,13 +257,18 @@ std::vector<std::string> unboundLiveIns(const Loop &loop,
                                         const LiveEnv &live_ins);
 
 /**
- * runCompiled with the bindings checked first (an incomplete LiveEnv
- * — a malformed request, in service terms — is an InvalidInput
- * status, not a process death) and the execution bounded: every
- * constituent loop runs under `limits` and the ambient
- * deadline/cancellation context (see tryExecuteLoop). On a
- * mid-sequence failure `mem` is partially executed; quarantine
- * callers must discard the loop's results.
+ * Run a compiled program over `n` original iterations: each compiled
+ * loop executes floor(n/coverage) pipelined body iterations plus its
+ * cleanup remainder, chained through live values and carried state.
+ *
+ * The bindings are checked first (an incomplete LiveEnv — a
+ * malformed request, in service terms — is an InvalidInput status,
+ * not a process death) and the execution is bounded: every
+ * constituent loop runs under `limits` and the ambient deadline
+ * context (see tryExecuteLoop). On a mid-sequence failure `mem` is
+ * partially executed; quarantine callers must discard the loop's
+ * results. Callers with no recovery story write
+ * `tryRunCompiled(...).takeValue()`, which panics with the status.
  */
 Expected<ExecResult> tryRunCompiled(const CompiledProgram &program,
                                     const ArrayTable &arrays,
@@ -307,9 +278,12 @@ Expected<ExecResult> tryRunCompiled(const CompiledProgram &program,
                                     const ExecLimits &limits = {},
                                     const ProgramPlans *plans = nullptr);
 
-/** runReference with the bindings checked first and the run bounded
- *  (sequential mode: deadline/cancellation only — no cycle
- *  watchdog). */
+/**
+ * Reference execution of the original loop (sequential interpreter);
+ * the oracle every technique must match bit-for-bit. Bindings are
+ * checked as in tryRunCompiled and the run is bounded by the ambient
+ * deadline only (sequential mode has no cycle watchdog).
+ */
 Expected<ExecResult> tryRunReference(const Loop &loop,
                                      const ArrayTable &arrays,
                                      const Machine &machine,
@@ -317,6 +291,24 @@ Expected<ExecResult> tryRunReference(const Loop &loop,
                                      const LiveEnv &live_ins,
                                      int64_t n,
                                      const ExecLimits &limits = {});
+
+/**
+ * Compare a run against the reference run of the same source loop:
+ * the memory images bitwise, then every source live-out the
+ * reference produced (a live-out the reference env lacks is
+ * skipped). Returns "" when they agree, otherwise the first mismatch
+ * as "memory diverged: ..." or "live-out 'x' diverged (a vs b)".
+ *
+ * Set `reassociated` when the run was compiled with
+ * VectOptions::recognizeReductions: partial accumulators reorder
+ * floating-point reductions, so f64 live-outs that update a carried
+ * value are skipped (integer ones are exact and still compared).
+ */
+std::string referenceMismatch(const Loop &loop, const MemoryImage &mem,
+                              const ExecResult &run,
+                              const MemoryImage &ref_mem,
+                              const ExecResult &ref,
+                              bool reassociated = false);
 
 } // namespace selvec
 

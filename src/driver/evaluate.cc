@@ -38,11 +38,11 @@ loopDriverOptions(const WorkloadLoop &wl, const EvaluateOptions &options)
 /**
  * Compile, simulate and (optionally) verify one workload loop.
  *
- * Containment: the task runs under a fresh per-loop deadline (plus
- * the caller's cancel token), so a pathological kernel trips its own
- * budget without stealing time from siblings and independently of
- * --jobs. Any structured failure — compile, bounded execution,
- * deadline, watchdog, cancellation — quarantines the loop into a
+ * Containment: the task runs under a fresh per-loop deadline
+ * (combined with the caller's), so a pathological kernel trips its
+ * own budget without stealing time from siblings and independently
+ * of --jobs. Any structured failure — compile, bounded execution,
+ * deadline, watchdog — quarantines the loop into a
  * LoopFailure; only a verified divergence from the reference still
  * panics (that is a miscompile, an invariant bug rather than bad
  * input). The success path records exactly the stats and report of a
@@ -55,8 +55,7 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
 {
     ScopedDeadline guard(options.deadlineMs > 0
                              ? Deadline::afterMs(options.deadlineMs)
-                             : Deadline::never(),
-                         options.cancel);
+                             : Deadline::never());
     auto started = std::chrono::steady_clock::now();
 
     const Loop &loop = suite.loopOf(wl);
@@ -126,30 +125,14 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
                             wl.liveIns, wl.tripCount, limits);
         if (!ref.ok())
             return quarantine(ref.status());
-        std::string diff = mem.diff(ref_mem);
-        if (!diff.empty()) {
+        std::string mismatch = referenceMismatch(
+            loop, mem, run.value(), ref_mem, ref.value());
+        if (!mismatch.empty()) {
             // A divergence from the reference is a miscompile —
             // an invariant bug, not bad input.
-            SV_PANIC("%s / %s / %s: memory diverged: %s",
-                     suite.name.c_str(), loop.name.c_str(),
-                     techniqueName(technique), diff.c_str());
-        }
-        for (ValueId v : loop.liveOuts) {
-            const std::string &name = loop.valueInfo(v).name;
-            if (!ref.value().env.count(name))
-                continue;
-            const LiveEnv &env = run.value().env;
-            if (!env.count(name) ||
-                !(env.at(name) == ref.value().env.at(name))) {
-                SV_PANIC("%s / %s / %s: live-out '%s' diverged "
-                         "(%s vs %s)",
-                         suite.name.c_str(), loop.name.c_str(),
-                         techniqueName(technique), name.c_str(),
-                         env.count(name)
-                             ? env.at(name).str().c_str()
-                             : "<absent>",
-                         ref.value().env.at(name).str().c_str());
-            }
+            SV_PANIC("%s / %s / %s: %s", suite.name.c_str(),
+                     loop.name.c_str(), techniqueName(technique),
+                     mismatch.c_str());
         }
     }
 

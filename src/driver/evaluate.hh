@@ -10,7 +10,6 @@
 #define SELVEC_DRIVER_EVALUATE_HH
 
 #include "driver/driver.hh"
-#include "support/deadline.hh"
 #include "workloads/workloads.hh"
 
 namespace selvec
@@ -38,7 +37,7 @@ struct LoopReport
 
 /**
  * One quarantined loop: a kernel whose compile or bounded run failed
- * (deadline, watchdog, cancellation, injected fault, bad bindings).
+ * (deadline, watchdog, injected fault, bad bindings).
  * Sibling loops complete normally; the suite report carries these
  * entries instead of dying (DESIGN.md §10).
  */
@@ -101,11 +100,6 @@ struct EvaluateOptions
      * failures[] while the rest finish byte-identical to a clean run.
      */
     int64_t deadlineMs = 0;
-
-    /** Cooperative cancellation: when cancelled, unstarted loop tasks
-     *  (and in-flight long loops at their next poll) fail into
-     *  failures[] with ErrorCode::Cancelled. */
-    CancelToken cancel;
 
     /** When non-empty: write a self-contained repro bundle (LIR +
      *  machine + options + fault plan) for every failure under this

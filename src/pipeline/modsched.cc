@@ -543,8 +543,8 @@ moduloSchedule(const Loop &lowered, const DepGraph &graph,
 
     if (faultPointHit("modsched.stall")) {
         // Simulated scheduler hang. Under an armed containment
-        // context this spins (sleeping) until the ambient deadline or
-        // cancellation trips — the test vehicle for "a pathological
+        // context this spins (sleeping) until the ambient deadline
+        // trips — the test vehicle for "a pathological
         // loop hangs the scheduler". Without one it fails instantly,
         // so exhaustive fault sweeps stay fast and never wedge.
         if (deadlineArmed()) {
@@ -590,8 +590,7 @@ moduloSchedule(const Loop &lowered, const DepGraph &graph,
             stats.maxGauge("modsched.maxIi", result.schedule.ii);
             return result;
         }
-        if (result.code == ErrorCode::DeadlineExceeded ||
-            result.code == ErrorCode::Cancelled) {
+        if (result.code == ErrorCode::DeadlineExceeded) {
             // Retrying larger IIs cannot recover a tripped deadline.
             break;
         }
@@ -601,10 +600,8 @@ moduloSchedule(const Loop &lowered, const DepGraph &graph,
     stats.add("modsched.readyPushes", result.readyPushes);
     stats.add("mrt.maskHits", result.maskHits);
     stats.add("modsched.failures");
-    if (result.code == ErrorCode::DeadlineExceeded ||
-        result.code == ErrorCode::Cancelled) {
+    if (result.code == ErrorCode::DeadlineExceeded)
         return result;
-    }
     result.code = ErrorCode::ScheduleBudgetExhausted;
     result.error = strfmt(
         "no schedule found for loop '%s': tried II %lld..%lld "

@@ -41,8 +41,7 @@ struct ScheduleOptions
      * WatchdogTripped after watchdogFactor x the schedule's expected
      * cycle count (see sim/executor.hh). Carried here so one options
      * struct travels from the driver into both the scheduler and the
-     * bounded simulator; it does not influence the schedule itself
-     * and therefore stays out of the compile-cache key.
+     * bounded simulator; it does not influence the schedule itself.
      */
     int64_t watchdogFactor = 16;
 };

@@ -42,7 +42,7 @@ class EngineBase
                const Machine &machine, MemoryImage &mem,
                const LiveEnv &live_ins, int64_t n_body, int64_t base,
                const ModuloSchedule *schedule,
-               const ExecLimits *limits)
+               const ExecLimits &limits)
         : arrays(arrays), loop(loop), machine(machine), mem(mem),
           nBody(n_body), base(base), schedule(schedule),
           limits(limits),
@@ -89,6 +89,66 @@ class EngineBase
                                 machine.latency(loop.op(op).opcode));
         }
         return span;
+    }
+
+    /**
+     * Cycle watchdog bound of a pipelined run (0: none). The expected
+     * completion comes from the schedule itself, so a valid schedule
+     * cannot trip the derived bound — it contains mis-scheduled
+     * pipelines whose event cycles run away, and the explicit
+     * maxCycles ceiling covers genuine-trip tests and replays. Both
+     * engines share it, including the injected-fault probe, so their
+     * failure behavior is bit-for-bit the same.
+     */
+    int64_t
+    watchdogBound(int64_t expected) const
+    {
+        int64_t max_cycles = limits.maxCycles;
+        if (max_cycles <= 0 && limits.watchdogFactor > 0) {
+            max_cycles = limits.watchdogFactor *
+                         std::max<int64_t>(1, expected);
+        }
+        if (max_cycles > 0 && faultPointHit("sim.watchdog")) {
+            throw ExecAbort{Status::error(
+                ErrorCode::WatchdogTripped, "sim",
+                strfmt("fault injected at sim.watchdog: pipelined "
+                       "run of loop '%s' forced past its cycle "
+                       "bound of %lld",
+                       loop.name.c_str(),
+                       static_cast<long long>(max_cycles)))};
+        }
+        return max_cycles;
+    }
+
+    /** Abort a run whose event at `cycle` is due past `max_cycles`. */
+    [[noreturn]] void
+    watchdogTrip(int64_t cycle, int64_t max_cycles) const
+    {
+        throw ExecAbort{Status::error(
+            ErrorCode::WatchdogTripped, "sim",
+            strfmt("loop '%s': event due at cycle %lld exceeds the "
+                   "watchdog bound of %lld (%lld body iterations at "
+                   "II %lld)",
+                   loop.name.c_str(), static_cast<long long>(cycle),
+                   static_cast<long long>(max_cycles),
+                   static_cast<long long>(nBody),
+                   static_cast<long long>(schedule->ii)))};
+    }
+
+    /**
+     * Poll the ambient deadline once every 1024 op instances (not per
+     * body iteration: wide bodies would pay a clock read per handful
+     * of ops, and the cost would scale with the body, not with wall
+     * time).
+     */
+    void
+    pollDeadline(size_t &processed) const
+    {
+        if ((processed++ & 1023) == 0 && deadlineArmed()) {
+            Status trip = checkDeadline("sim");
+            if (!trip)
+                throw ExecAbort{trip};
+        }
     }
 
     /** Assemble the run's observable outputs; shared verbatim by both
@@ -350,7 +410,7 @@ class EngineBase
     int64_t nBody;
     int64_t base;
     const ModuloSchedule *schedule;
-    const ExecLimits *limits;   ///< non-null: bounded run
+    const ExecLimits &limits;
 
     std::vector<RtVal> globals;
     std::vector<bool> hasGlobal;
@@ -374,7 +434,7 @@ class DenseEngine : public EngineBase
                 const Machine &machine, MemoryImage &mem,
                 const LiveEnv &live_ins, int64_t n_body, int64_t base,
                 const ModuloSchedule *schedule,
-                const ExecLimits *limits = nullptr)
+                const ExecLimits &limits)
         : EngineBase(arrays, loop, machine, mem, live_ins, n_body,
                      base, schedule, limits)
     {
@@ -571,20 +631,10 @@ class DenseEngine : public EngineBase
     void
     runSequential()
     {
-        // The deadline poll matches the pipelined engine's cadence
-        // (every 1024 op instances) instead of once per body
-        // iteration: wide bodies were paying a clock read per
-        // handful of ops, and the cost scales with the body, not
-        // with wall time.
         size_t processed = 0;
         for (int64_t j = 0; j < nBody; ++j) {
             for (OpId id = 0; id < loop.numOps(); ++id) {
-                if (limits != nullptr && (processed++ & 1023) == 0 &&
-                    deadlineArmed()) {
-                    Status trip = checkDeadline("sim");
-                    if (!trip)
-                        throw ExecAbort{trip};
-                }
+                pollDeadline(processed);
                 executeOp(j, id, -1);
             }
         }
@@ -653,51 +703,14 @@ class DenseEngine : public EngineBase
                       return a.op < b.op;
                   });
 
-        // Cycle watchdog (bounded runs only): the expected completion
-        // comes from the schedule itself, so a valid schedule cannot
-        // trip the derived bound — it contains mis-scheduled
-        // pipelines whose event cycles run away, and the explicit
-        // maxCycles ceiling covers genuine-trip tests and replays.
-        int64_t max_cycles = 0;
-        if (limits != nullptr) {
-            int64_t expected = nBody * schedule->ii + completionSpan();
-            max_cycles = limits->maxCycles;
-            if (max_cycles <= 0 && limits->watchdogFactor > 0) {
-                max_cycles = limits->watchdogFactor *
-                             std::max<int64_t>(1, expected);
-            }
-            if (max_cycles > 0 && faultPointHit("sim.watchdog")) {
-                throw ExecAbort{Status::error(
-                    ErrorCode::WatchdogTripped, "sim",
-                    strfmt("fault injected at sim.watchdog: pipelined "
-                           "run of loop '%s' forced past its cycle "
-                           "bound of %lld",
-                           loop.name.c_str(),
-                           static_cast<long long>(max_cycles)))};
-            }
-        }
-
+        int64_t max_cycles =
+            watchdogBound(nBody * schedule->ii + completionSpan());
         int64_t completion = 0;
         size_t processed = 0;
         for (const Event &e : events) {
-            if (max_cycles > 0 && e.cycle > max_cycles) {
-                throw ExecAbort{Status::error(
-                    ErrorCode::WatchdogTripped, "sim",
-                    strfmt("loop '%s': event due at cycle %lld "
-                           "exceeds the watchdog bound of %lld "
-                           "(%lld body iterations at II %lld)",
-                           loop.name.c_str(),
-                           static_cast<long long>(e.cycle),
-                           static_cast<long long>(max_cycles),
-                           static_cast<long long>(nBody),
-                           static_cast<long long>(schedule->ii)))};
-            }
-            if (limits != nullptr && (processed++ & 1023) == 0 &&
-                deadlineArmed()) {
-                Status trip = checkDeadline("sim");
-                if (!trip)
-                    throw ExecAbort{trip};
-            }
+            if (max_cycles > 0 && e.cycle > max_cycles)
+                watchdogTrip(e.cycle, max_cycles);
+            pollDeadline(processed);
             executeOp(e.j, e.op, e.cycle);
             int64_t done =
                 e.cycle + machine.latency(loop.op(e.op).opcode);
@@ -745,7 +758,7 @@ class StreamEngine : public EngineBase
                  const Machine &machine, MemoryImage &mem,
                  const LiveEnv &live_ins, int64_t n_body,
                  int64_t base, const ModuloSchedule *schedule,
-                 const ExecLimits *limits, const ExecPlan &plan)
+                 const ExecLimits &limits, const ExecPlan &plan)
         : EngineBase(arrays, loop, machine, mem, live_ins, n_body,
                      base, schedule, limits),
           plan(plan), liveIns(live_ins),
@@ -790,7 +803,7 @@ class StreamEngine : public EngineBase
         if (checkSimEnabled()) {
             shadow.reset(new DenseEngine(arrays, loop, machine, mem,
                                          liveIns, nBody, base,
-                                         schedule, nullptr));
+                                         schedule, limits));
             shadow->prepare();
         }
         dynOps.fill(0);
@@ -1139,29 +1152,8 @@ class StreamEngine : public EngineBase
     int64_t
     runStreaming()
     {
-        // Watchdog setup: identical to the dense engine, including
-        // the injected-fault probe, so bounded-run failure behavior
-        // is bit-for-bit the same.
-        int64_t max_cycles = 0;
-        if (limits != nullptr) {
-            int64_t expected =
-                nBody * plan.ii + plan.completionSpan;
-            max_cycles = limits->maxCycles;
-            if (max_cycles <= 0 && limits->watchdogFactor > 0) {
-                max_cycles = limits->watchdogFactor *
-                             std::max<int64_t>(1, expected);
-            }
-            if (max_cycles > 0 && faultPointHit("sim.watchdog")) {
-                throw ExecAbort{Status::error(
-                    ErrorCode::WatchdogTripped, "sim",
-                    strfmt("fault injected at sim.watchdog: pipelined "
-                           "run of loop '%s' forced past its cycle "
-                           "bound of %lld",
-                           loop.name.c_str(),
-                           static_cast<long long>(max_cycles)))};
-            }
-        }
-
+        int64_t max_cycles =
+            watchdogBound(nBody * plan.ii + plan.completionSpan);
         int64_t completion = 0;
         size_t processed = 0;
         if (nBody > 0) {
@@ -1174,28 +1166,9 @@ class StreamEngine : public EngineBase
                     if (j < 0 || j >= nBody)
                         continue;
                     int64_t cycle = q * plan.ii + is.slot;
-                    if (max_cycles > 0 && cycle > max_cycles) {
-                        throw ExecAbort{Status::error(
-                            ErrorCode::WatchdogTripped, "sim",
-                            strfmt("loop '%s': event due at cycle "
-                                   "%lld exceeds the watchdog bound "
-                                   "of %lld (%lld body iterations "
-                                   "at II %lld)",
-                                   loop.name.c_str(),
-                                   static_cast<long long>(cycle),
-                                   static_cast<long long>(
-                                       max_cycles),
-                                   static_cast<long long>(nBody),
-                                   static_cast<long long>(
-                                       plan.ii)))};
-                    }
-                    if (limits != nullptr &&
-                        (processed++ & 1023) == 0 &&
-                        deadlineArmed()) {
-                        Status trip = checkDeadline("sim");
-                        if (!trip)
-                            throw ExecAbort{trip};
-                    }
+                    if (max_cycles > 0 && cycle > max_cycles)
+                        watchdogTrip(cycle, max_cycles);
+                    pollDeadline(processed);
                     execInstance(j, is.op, cycle);
                     int64_t done =
                         cycle +
@@ -1378,35 +1351,6 @@ addRunStats(const RunOutput &out, const ModuloSchedule *schedule,
 
 } // anonymous namespace
 
-RunOutput
-executeLoop(const ArrayTable &arrays, const Loop &loop,
-            const Machine &machine, MemoryImage &mem,
-            const LiveEnv &live_ins, int64_t n_body, int64_t base,
-            const ModuloSchedule *schedule, const ExecPlan *plan)
-{
-    SV_ASSERT(n_body >= 0, "negative iteration count");
-    TraceSpan span(schedule != nullptr ? "sim.pipelined"
-                                       : "sim.reference");
-    if (schedule == nullptr) {
-        DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                           n_body, base, nullptr);
-        RunOutput out = engine.run();
-        addRunStats(out, nullptr, nullptr);
-        return out;
-    }
-    ExecPlan local;
-    if (plan == nullptr)
-        local = buildExecPlan(loop, *schedule, machine);
-    else
-        globalStats().add("sim.plan.reuses");
-    const ExecPlan &p = plan != nullptr ? *plan : local;
-    StreamEngine engine(arrays, loop, machine, mem, live_ins, n_body,
-                        base, schedule, nullptr, p);
-    RunOutput out = engine.run();
-    addRunStats(out, schedule, &engine);
-    return out;
-}
-
 Expected<RunOutput>
 tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
                const Machine &machine, MemoryImage &mem,
@@ -1426,10 +1370,8 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
     try {
         if (schedule == nullptr) {
             DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                               n_body, base, nullptr, &limits);
+                               n_body, base, nullptr, limits);
             RunOutput out = engine.run();
-            // A clean bounded run records exactly the stats of an
-            // unbounded one: boundedness must not perturb documents.
             addRunStats(out, nullptr, nullptr);
             return out;
         }
@@ -1440,7 +1382,7 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
             globalStats().add("sim.plan.reuses");
         const ExecPlan &p = plan != nullptr ? *plan : local;
         StreamEngine engine(arrays, loop, machine, mem, live_ins,
-                            n_body, base, schedule, &limits, p);
+                            n_body, base, schedule, limits, p);
         RunOutput out = engine.run();
         addRunStats(out, schedule, &engine);
         return out;
@@ -1468,7 +1410,7 @@ tryExecuteLoopDense(const ArrayTable &arrays, const Loop &loop,
                                        : "sim.reference");
     try {
         DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                           n_body, base, schedule, &limits);
+                           n_body, base, schedule, limits);
         RunOutput out = engine.run();
         addRunStats(out, schedule, nullptr);
         return out;

@@ -2,7 +2,8 @@
  * @file
  * The loop execution engine.
  *
- * Loops execute in two modes sharing all operand semantics:
+ * Loops execute through one entry point, tryExecuteLoop, in two
+ * modes sharing all operand semantics:
  *
  *  - sequential (reference): body operations run in program order,
  *    iteration by iteration — the correctness oracle;
@@ -26,6 +27,10 @@
  * result — and the run's final observables — are compared against
  * the dense engine and the process dies on the first divergence.
  * Both engines produce bit-identical observable outputs.
+ *
+ * Every run is bounded: a cycle watchdog (ExecLimits) and the ambient
+ * deadline (support/deadline.hh) can end it with a structured status.
+ * With default ExecLimits and no deadline installed nothing is armed.
  *
  * Live values enter and leave by name so the driver can chain a main
  * loop into its cleanup loop and across distributed loop sequences.
@@ -89,32 +94,8 @@ struct RunOutput
     int64_t exitOrig = 0;
 };
 
-/**
- * Execute `loop` for `n_body` body iterations.
- *
- * @param loop the loop (any coverage)
- * @param machine supplies vector length and latencies
- * @param mem simulated memory, updated in place
- * @param live_ins bindings for every live-in (names starting with
- *        "__" default to zero when unbound)
- * @param n_body number of body iterations to run
- * @param base iteration-index offset: references evaluate at
- *        base + j (a cleanup loop continuing after J covered
- *        iterations passes base = J * coverage of the main loop)
- * @param schedule nullptr for sequential reference execution, or the
- *        loop's modulo schedule for pipelined execution
- * @param plan optional prebuilt plan for (loop, schedule, machine)
- *        (see buildExecPlan); nullptr builds one for this run.
- *        Ignored in sequential mode.
- */
-RunOutput executeLoop(const ArrayTable &arrays, const Loop &loop,
-                      const Machine &machine, MemoryImage &mem,
-                      const LiveEnv &live_ins, int64_t n_body,
-                      int64_t base = 0,
-                      const ModuloSchedule *schedule = nullptr,
-                      const ExecPlan *plan = nullptr);
-
-/** Bounds on one bounded execution (tryExecuteLoop). */
+/** Bounds on one execution (tryExecuteLoop). The default arms
+ *  nothing: no cycle watchdog, only the ambient deadline context. */
 struct ExecLimits
 {
     /**
@@ -133,13 +114,30 @@ struct ExecLimits
 };
 
 /**
- * Execute `loop` under the containment contract (DESIGN.md §10):
- * like executeLoop, but the cycle watchdog of `limits` and the
- * ambient deadline/cancellation context are checked during the run,
- * and a trip returns a structured WatchdogTripped / DeadlineExceeded
- * / Cancelled status instead of spinning. On failure `mem` (and any
- * other out-of-band state) is partially executed — quarantine
- * callers must treat the loop's results as void.
+ * Execute `loop` for `n_body` body iterations under the containment
+ * contract (DESIGN.md §10): the cycle watchdog of `limits` and the
+ * ambient deadline context are checked during the run, and a trip
+ * returns a structured WatchdogTripped / DeadlineExceeded status
+ * instead of spinning. On failure `mem` (and any other out-of-band
+ * state) is partially executed — quarantine callers must treat the
+ * loop's results as void.
+ *
+ * @param loop the loop (any coverage)
+ * @param machine supplies vector length and latencies
+ * @param mem simulated memory, updated in place
+ * @param live_ins bindings for every live-in (names starting with
+ *        "__" default to zero when unbound; any other unbound
+ *        live-in panics — the driver's tryRun* check first)
+ * @param n_body number of body iterations to run (negative:
+ *        InvalidInput)
+ * @param base iteration-index offset: references evaluate at
+ *        base + j (a cleanup loop continuing after J covered
+ *        iterations passes base = J * coverage of the main loop)
+ * @param schedule nullptr for sequential reference execution, or the
+ *        loop's modulo schedule for pipelined execution
+ * @param plan optional prebuilt plan for (loop, schedule, machine)
+ *        (see buildExecPlan); nullptr builds one for this run.
+ *        Ignored in sequential mode.
  */
 Expected<RunOutput>
 tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,

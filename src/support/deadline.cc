@@ -28,10 +28,6 @@ checkDeadline(const char *stage)
 {
     if (!tls_armed)
         return Status::success();
-    if (tls_ctx.cancel.cancelled()) {
-        return Status::error(ErrorCode::Cancelled, stage,
-                             "cancelled by caller");
-    }
     if (tls_ctx.deadline.expired()) {
         return Status::error(ErrorCode::DeadlineExceeded, stage,
                              "deadline exceeded");
@@ -39,12 +35,10 @@ checkDeadline(const char *stage)
     return Status::success();
 }
 
-ScopedDeadline::ScopedDeadline(Deadline d, CancelToken c)
+ScopedDeadline::ScopedDeadline(Deadline d)
     : saved(tls_ctx), savedArmed(tls_armed)
 {
     tls_ctx.deadline = Deadline::sooner(saved.deadline, d);
-    if (c.valid())
-        tls_ctx.cancel = c;
     tls_armed = tls_ctx.armed();
 }
 

@@ -1,18 +1,15 @@
 /**
  * @file
- * Failure containment: monotonic deadlines and cooperative
- * cancellation (DESIGN.md §10).
+ * Failure containment: monotonic deadlines (DESIGN.md §10).
  *
- * A Deadline is a point on the monotonic clock; a CancelToken is a
- * shared flag another thread can raise. Together they form the
- * ambient containment context of a thread: ScopedDeadline installs
- * one (combining with any outer scope — the effective deadline is
- * the sooner of the two, and an inherited cancel token stays live),
- * the thread pool republishes the caller's context in its workers,
- * and the long loops of the pipeline — KL partitioning passes, the
- * modulo scheduler's placement loop, the simulator's event loop —
- * poll checkDeadline() and surface ErrorCode::DeadlineExceeded /
- * Cancelled as ordinary structured statuses.
+ * A Deadline is a point on the monotonic clock and forms the ambient
+ * containment context of a thread: ScopedDeadline installs one
+ * (combining with any outer scope — the effective deadline is the
+ * sooner of the two), the thread pool republishes the caller's
+ * context in its workers, and the long loops of the pipeline — KL
+ * partitioning passes, the modulo scheduler's placement loop, the
+ * simulator's event loop — poll checkDeadline() and surface
+ * ErrorCode::DeadlineExceeded as an ordinary structured status.
  *
  * The unarmed fast path is one thread-local boolean: code that polls
  * in a hot loop pays nothing until a containment context exists.
@@ -23,9 +20,7 @@
 #ifndef SELVEC_SUPPORT_DEADLINE_HH
 #define SELVEC_SUPPORT_DEADLINE_HH
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 
 #include "support/status.hh"
 
@@ -95,85 +90,37 @@ class Deadline
     std::chrono::steady_clock::time_point when{};
 };
 
-/**
- * A shared cancellation flag. Copies alias the same flag; a
- * default-constructed token is null (never cancelled, requests are
- * no-ops) so the unarmed case costs nothing.
- */
-class CancelToken
-{
-  public:
-    CancelToken() = default;
-
-    /** A fresh, uncancelled token. */
-    static CancelToken
-    create()
-    {
-        CancelToken t;
-        t.flag = std::make_shared<std::atomic<bool>>(false);
-        return t;
-    }
-
-    bool valid() const { return flag != nullptr; }
-
-    bool
-    cancelled() const
-    {
-        return flag != nullptr &&
-               flag->load(std::memory_order_acquire);
-    }
-
-    /** Raise the flag (safe from any thread; no-op on null tokens). */
-    void
-    requestCancel() const
-    {
-        if (flag != nullptr)
-            flag->store(true, std::memory_order_release);
-    }
-
-  private:
-    std::shared_ptr<std::atomic<bool>> flag;
-};
-
 /** The ambient containment context of a thread. */
 struct DeadlineContext
 {
     Deadline deadline;
-    CancelToken cancel;
 
-    bool
-    armed() const
-    {
-        return !deadline.unlimited() || cancel.valid();
-    }
+    bool armed() const { return !deadline.unlimited(); }
 };
 
 /** This thread's current context (unarmed when none installed). */
 DeadlineContext currentDeadlineContext();
 
-/** Whether this thread has any deadline or cancel token installed —
- *  one thread-local load, the hot-loop guard before checkDeadline(). */
+/** Whether this thread has a deadline installed — one thread-local
+ *  load, the hot-loop guard before checkDeadline(). */
 bool deadlineArmed();
 
 /**
- * Ok while neither the ambient deadline has passed nor the ambient
- * token is cancelled; otherwise a DeadlineExceeded / Cancelled error
- * attributed to `stage`. Cancellation wins when both hold (it was
- * requested explicitly).
+ * Ok while the ambient deadline has not passed; otherwise a
+ * DeadlineExceeded error attributed to `stage`.
  */
 Status checkDeadline(const char *stage);
 
 /**
  * Install a containment context for the current scope. The new
- * deadline combines with any outer one (sooner wins); a valid token
- * replaces the outer token, a null token inherits it. `adopt`
+ * deadline combines with any outer one (sooner wins). `adopt`
  * constructs install the context verbatim — the thread-pool workers
  * use that to mirror the batch caller's context exactly.
  */
 class ScopedDeadline
 {
   public:
-    explicit ScopedDeadline(Deadline d, CancelToken c = {});
+    explicit ScopedDeadline(Deadline d);
 
     /** Verbatim adoption (no combining with the outer scope). */
     struct AdoptTag

@@ -16,7 +16,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::IoError:                 return "io-error";
       case ErrorCode::Internal:                return "internal";
       case ErrorCode::DeadlineExceeded:        return "deadline-exceeded";
-      case ErrorCode::Cancelled:               return "cancelled";
       case ErrorCode::WatchdogTripped:         return "watchdog-tripped";
     }
     return "?";

@@ -29,7 +29,6 @@ enum class ErrorCode : uint8_t {
     IoError,                    ///< file read/write failed
     Internal,                   ///< unexpected but recoverable
     DeadlineExceeded,           ///< wall-clock deadline tripped
-    Cancelled,                  ///< caller requested cancellation
     WatchdogTripped,            ///< simulator exceeded its cycle bound
 };
 

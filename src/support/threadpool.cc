@@ -121,9 +121,9 @@ ThreadPool::workerMain()
         size_t completed = 0;
         tls_in_pool_task = true;
         {
-            // Mirror the batch caller's deadline/cancellation context
-            // exactly, so a worker thread is bounded the same way the
-            // caller would be running the task inline.
+            // Mirror the batch caller's deadline context exactly, so
+            // a worker thread is bounded the same way the caller
+            // would be running the task inline.
             ScopedDeadline adopt(ScopedDeadline::AdoptTag{},
                                  batch->context);
             while (true) {

@@ -15,8 +15,8 @@
  * workers do run tasks, the caller never executes tasks itself; a
  * task that needs the caller's context (trace spans, stats sinks)
  * must capture it explicitly (TraceContextScope, ScopedStatsSink).
- * The caller's deadline/cancellation context, by contrast, is
- * republished automatically: every task of a batch runs under the
+ * The caller's deadline context, by contrast, is republished
+ * automatically: every task of a batch runs under the
  * DeadlineContext the caller had when it published the batch, so
  * `--deadline-ms` bounds worker threads too (DESIGN.md §10).
  *

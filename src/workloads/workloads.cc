@@ -57,7 +57,7 @@ allSuites()
 {
     std::vector<Suite> suites;
     for (const std::string &name : suiteNames())
-        suites.push_back(makeSuite(name));
+        suites.push_back(makeSuiteOrDie(name));
     return suites;
 }
 

@@ -65,13 +65,6 @@ Expected<Suite> tryMakeSuite(const std::string &name);
 /** Build a suite by name (fatal on unknown name). */
 Suite makeSuiteOrDie(const std::string &name);
 
-/** Historic name of makeSuiteOrDie. */
-inline Suite
-makeSuite(const std::string &name)
-{
-    return makeSuiteOrDie(name);
-}
-
 /** All nine suites. */
 std::vector<Suite> allSuites();
 

@@ -70,8 +70,9 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(31);
     got.fillPattern(31);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, {}, 32);
+    tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, {},
+                   64).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, c.machine, got, {}, 32).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -97,8 +98,9 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(33);
     got.fillPattern(33);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, {}, 32);
+    tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, {},
+                   64).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, c.machine, got, {}, 32).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -126,8 +128,9 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(35);
     got.fillPattern(35);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 50);
-    executeLoop(c.module.arrays, vec, c.machine, got, env, 25);
+    tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                   50).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, c.machine, got, env, 25).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -158,8 +161,9 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(37);
     got.fillPattern(37);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, env, 32);
+    tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                   64).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, c.machine, got, env, 32).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -208,8 +212,9 @@ loop t {
     MemoryImage ref(d.module.arrays), got(d.module.arrays);
     ref.fillPattern(39);
     got.fillPattern(39);
-    executeLoop(d.module.arrays, d.loop(), d.machine, ref, env, 64);
-    executeLoop(d.module.arrays, vec, d.machine, got, env, 32);
+    tryExecuteLoop(d.module.arrays, d.loop(), d.machine, ref, env,
+                   64).takeValue();
+    tryExecuteLoop(d.module.arrays, vec, d.machine, got, env, 32).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -238,8 +243,9 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(41);
     got.fillPattern(41);
-    executeLoop(c.module.arrays, c.loop(), aligned, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, aligned, got, {}, 32);
+    tryExecuteLoop(c.module.arrays, c.loop(), aligned, ref, {},
+                   64).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, aligned, got, {}, 32).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -263,15 +269,15 @@ loop t {
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, Technique::Full);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::Full);
     LiveEnv env;
     env["w"] = RtVal::scalarF(0.5);
     for (int64_t n : {1, 2, 3, 17, 64, 99}) {
         MemoryImage mem(arrays), ref(arrays);
         mem.fillPattern(43);
         ref.fillPattern(43);
-        runCompiled(p, arrays, machine, mem, env, n);
-        runReference(m.loops[0], arrays, machine, ref, env, n);
+        tryRunCompiled(p, arrays, machine, mem, env, n).takeValue();
+        tryRunReference(m.loops[0], arrays, machine, ref, env, n).takeValue();
         EXPECT_EQ(mem.diff(ref), "") << "n=" << n;
     }
 }
@@ -343,8 +349,10 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(95);
     got.fillPattern(95);
-    executeLoop(c.module.arrays, c.loop(), machine, ref, env, 96);
-    executeLoop(c.module.arrays, vec, machine, got, env, 96 / vl);
+    tryExecuteLoop(c.module.arrays, c.loop(), machine, ref, env,
+                   96).takeValue();
+    tryExecuteLoop(c.module.arrays, vec, machine, got, env,
+                   96 / vl).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 

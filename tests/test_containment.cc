@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the failure-containment contract (DESIGN.md §10):
- * deadlines and cooperative cancellation, knob validation, the
+ * deadlines and their ambient context, knob validation, the
  * simulator cycle watchdog, per-loop suite quarantine with
  * byte-identical sibling reports, and replayable repro bundles.
  */
@@ -107,7 +107,7 @@ freshDir(const char *leaf)
 }
 
 // ---------------------------------------------------------------------
-// Deadline / CancelToken primitives.
+// Deadline primitives.
 
 TEST(Deadline, NeverIsUnlimited)
 {
@@ -145,25 +145,6 @@ TEST(Deadline, SoonerPicksTheTighterBound)
     EXPECT_TRUE(Deadline::sooner(loose, tight).expired());
 }
 
-TEST(CancelToken, NullTokenNeverCancels)
-{
-    CancelToken t;
-    EXPECT_FALSE(t.valid());
-    EXPECT_FALSE(t.cancelled());
-    t.requestCancel();   // no-op, must not crash
-    EXPECT_FALSE(t.cancelled());
-}
-
-TEST(CancelToken, CopiesAliasTheSameFlag)
-{
-    CancelToken t = CancelToken::create();
-    CancelToken copy = t;
-    EXPECT_TRUE(copy.valid());
-    EXPECT_FALSE(copy.cancelled());
-    t.requestCancel();
-    EXPECT_TRUE(copy.cancelled());
-}
-
 // ---------------------------------------------------------------------
 // Ambient context: checkDeadline and ScopedDeadline.
 
@@ -187,16 +168,6 @@ TEST(DeadlineContext, ExpiredScopeTripsWithStage)
     EXPECT_TRUE(checkDeadline("test").ok());
 }
 
-TEST(DeadlineContext, CancellationWinsOverDeadline)
-{
-    CancelToken token = CancelToken::create();
-    token.requestCancel();
-    ScopedDeadline guard(Deadline::afterMs(0), token);
-    Status st = checkDeadline("batch");
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), ErrorCode::Cancelled);
-}
-
 TEST(DeadlineContext, NestedScopeKeepsTheSoonerDeadline)
 {
     ScopedDeadline outer(Deadline::afterMs(0));
@@ -205,17 +176,6 @@ TEST(DeadlineContext, NestedScopeKeepsTheSoonerDeadline)
     Status st = checkDeadline("inner");
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), ErrorCode::DeadlineExceeded);
-}
-
-TEST(DeadlineContext, NestedScopeInheritsTheOuterToken)
-{
-    CancelToken token = CancelToken::create();
-    token.requestCancel();
-    ScopedDeadline outer(Deadline::never(), token);
-    ScopedDeadline inner(Deadline::afterMs(60 * 1000));   // null token
-    Status st = checkDeadline("inner");
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), ErrorCode::Cancelled);
 }
 
 TEST(DeadlineContext, AdoptInstallsVerbatim)
@@ -367,22 +327,6 @@ TEST(DeadlineTrip, SequentialPollCadenceStillLandsTheTrip)
         EXPECT_EQ(run.status().code(), ErrorCode::DeadlineExceeded);
         EXPECT_EQ(run.status().stage(), "sim");
     }
-}
-
-TEST(DeadlineTrip, SequentialRunWithoutLimitsNeverPolls)
-{
-    // executeLoop (no limits) must stay deadline-free: an expired
-    // ambient deadline does not abort an unbounded reference run.
-    Module module = parseLirOrDie(kDotProduct);
-    MemoryImage mem(module.arrays);
-    mem.fillPattern(1);
-    LiveEnv env;
-    env["s0"] = RtVal::scalarF(0.0);
-
-    ScopedDeadline guard(Deadline::afterMs(0));
-    RunOutput out = executeLoop(module.arrays, module.loops.front(),
-                                toyMachine(), mem, env, 2000);
-    EXPECT_EQ(out.bodyIterations, 2000);
 }
 
 // ---------------------------------------------------------------------
@@ -547,23 +491,22 @@ TEST(Quarantine, ReportIsJobsInvariant)
               jsonOfSuiteReport(b).dump());
 }
 
-TEST(Quarantine, CancelledBatchQuarantinesEveryLoop)
+TEST(Quarantine, ExpiredOuterDeadlineQuarantinesEveryLoop)
 {
     Suite suite = trioSuite();
     Machine machine = paperMachine();
 
+    // The caller's expired deadline reaches every loop task: inline
+    // at jobs 1, through the pool's republished context at jobs 4.
+    ScopedDeadline expired(Deadline::afterMs(0));
     EvaluateOptions options;
-    options.cancel = CancelToken::create();
-    options.cancel.requestCancel();
-
     SuiteReport serial = evaluateSuite(suite, machine,
                                        Technique::ModuloOnly, options);
     EXPECT_TRUE(serial.loops.empty());
     ASSERT_EQ(serial.failures.size(), 3u);
     for (const LoopFailure &f : serial.failures)
-        EXPECT_EQ(f.status.code(), ErrorCode::Cancelled);
+        EXPECT_EQ(f.status.code(), ErrorCode::DeadlineExceeded);
 
-    // Cancellation lands identically at any parallelism.
     options.jobs = 4;
     SuiteReport wide = evaluateSuite(suite, machine,
                                      Technique::ModuloOnly, options);

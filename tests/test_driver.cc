@@ -39,7 +39,7 @@ TEST(Driver, CompileProducesMainAndCleanup)
     for (Technique t : {Technique::ModuloOnly, Technique::Full,
                         Technique::Selective}) {
         ArrayTable arrays = m.arrays;
-        CompiledProgram p = compileLoop(m.loops[0], arrays, mach, t);
+        CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, mach, t);
         ASSERT_EQ(p.loops.size(), 1u) << techniqueName(t);
         EXPECT_EQ(p.loops[0].coverage, 2);
         EXPECT_EQ(p.loops[0].cleanup.coverage, 1);
@@ -66,7 +66,7 @@ loop t {
     Machine mach = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::Traditional);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::Traditional);
     EXPECT_EQ(p.loops.size(), 2u);
 }
 
@@ -76,7 +76,7 @@ TEST(Driver, PerIterationMetricsUseCoverage)
     Machine mach = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::ModuloOnly);
     EXPECT_DOUBLE_EQ(
         p.iiPerIteration(),
         static_cast<double>(p.loops[0].mainSchedule.ii) / 2.0);
@@ -90,7 +90,7 @@ TEST(Driver, RemainderRunsCleanup)
     Machine mach = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::Selective);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::Selective);
 
     LiveEnv env;
     env["a"] = RtVal::scalarF(1.25);
@@ -99,11 +99,11 @@ TEST(Driver, RemainderRunsCleanup)
         MemoryImage mem(arrays);
         mem.fillPattern(11);
         ExecResult got =
-            runCompiled(p, arrays, mach, mem, env, n);
+            tryRunCompiled(p, arrays, mach, mem, env, n).takeValue();
 
         MemoryImage ref(arrays);
         ref.fillPattern(11);
-        runReference(m.loops[0], arrays, mach, ref, env, n);
+        tryRunReference(m.loops[0], arrays, mach, ref, env, n).takeValue();
         EXPECT_EQ(mem.diff(ref), "") << "n=" << n;
         if (n > 0) {
             EXPECT_GT(got.cycles, 0);
@@ -128,21 +128,129 @@ loop t {
     Machine mach = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::ModuloOnly);
 
     LiveEnv env;
     env["s0"] = RtVal::scalarF(2.0);
     // Odd trip count: the final element flows through the cleanup.
     MemoryImage mem(arrays);
     mem.fillPattern(13);
-    ExecResult got = runCompiled(p, arrays, mach, mem, env, 65);
+    ExecResult got = tryRunCompiled(p, arrays, mach, mem, env, 65).takeValue();
 
     MemoryImage ref(arrays);
     ref.fillPattern(13);
     ExecResult want =
-        runReference(m.loops[0], arrays, mach, ref, env, 65);
+        tryRunReference(m.loops[0], arrays, mach, ref, env, 65).takeValue();
     ASSERT_TRUE(got.env.count("s1"));
     EXPECT_EQ(got.env.at("s1"), want.env.at("s1"));
+}
+
+const char *kSum = R"(
+array X f64 64
+loop sum {
+    livein s0 f64
+    carried s f64 init s0 update s1
+    body {
+        x = load X[i]
+        s1 = fadd s x
+    }
+    liveout s1
+}
+)";
+
+TEST(ReferenceMismatch, AgreeingRunsGiveEmpty)
+{
+    Module m = parseLirOrDie(kSum);
+    Machine mach = paperMachine();
+    LiveEnv env;
+    env["s0"] = RtVal::scalarF(1.0);
+    MemoryImage ref_mem(m.arrays);
+    ref_mem.fillPattern(5);
+    ExecResult ref = tryRunReference(m.loops[0], m.arrays, mach,
+                                     ref_mem, env, 64)
+                         .takeValue();
+    ExecResult run = ref;
+    EXPECT_EQ(referenceMismatch(m.loops[0], ref_mem, run, ref_mem, ref),
+              "");
+
+    // Memory is compared first.
+    MemoryImage mem(m.arrays);
+    mem.fillPattern(6);
+    EXPECT_EQ(referenceMismatch(m.loops[0], mem, run, ref_mem, ref)
+                  .rfind("memory diverged: ", 0),
+              0u);
+}
+
+TEST(ReferenceMismatch, NamesTheDivergedLiveOut)
+{
+    Module m = parseLirOrDie(kSum);
+    Machine mach = paperMachine();
+    LiveEnv env;
+    env["s0"] = RtVal::scalarF(1.0);
+    MemoryImage ref_mem(m.arrays);
+    ref_mem.fillPattern(5);
+    ExecResult ref = tryRunReference(m.loops[0], m.arrays, mach,
+                                     ref_mem, env, 64)
+                         .takeValue();
+
+    // Identical memory; only the live-out differs.
+    ExecResult run = ref;
+    run.env["s1"] = RtVal::scalarF(ref.env.at("s1").laneF(0) + 1.0);
+    std::string mismatch =
+        referenceMismatch(m.loops[0], ref_mem, run, ref_mem, ref);
+    EXPECT_NE(mismatch.find("live-out 's1' diverged"),
+              std::string::npos)
+        << mismatch;
+
+    run.env.erase("s1");
+    EXPECT_NE(referenceMismatch(m.loops[0], ref_mem, run, ref_mem, ref)
+                  .find("<absent>"),
+              std::string::npos);
+}
+
+TEST(ReferenceMismatch, SkipsLiveOutsTheReferenceLacks)
+{
+    Module m = parseLirOrDie(kSum);
+    MemoryImage mem(m.arrays);
+    mem.fillPattern(5);
+    ExecResult run, ref;
+    run.env["s1"] = RtVal::scalarF(3.0);
+    EXPECT_EQ(referenceMismatch(m.loops[0], mem, run, mem, ref), "");
+}
+
+TEST(ReferenceMismatch, ReassociatedSkipsOnlyFloatReductionLiveOuts)
+{
+    Module m = parseLirOrDie(kSum);
+    MemoryImage mem(m.arrays);
+    mem.fillPattern(5);
+    ExecResult run, ref;
+    ref.env["s1"] = RtVal::scalarF(1.0);
+    run.env["s1"] = RtVal::scalarF(1.0 + 1e-12);
+    // Bitwise by default; a reordered f64 sum is skipped.
+    EXPECT_NE(referenceMismatch(m.loops[0], mem, run, mem, ref), "");
+    EXPECT_EQ(referenceMismatch(m.loops[0], mem, run, mem, ref, true),
+              "");
+
+    // Integer reductions are exact: still compared.
+    Module mi = parseLirOrDie(R"(
+array X i64 64
+loop isum {
+    livein s0 i64
+    carried s i64 init s0 update s1
+    body {
+        x = load X[i]
+        s1 = iadd s x
+    }
+    liveout s1
+}
+)");
+    MemoryImage imem(mi.arrays);
+    ExecResult irun, iref;
+    iref.env["s1"] = RtVal::scalarI(7);
+    irun.env["s1"] = RtVal::scalarI(8);
+    EXPECT_NE(referenceMismatch(mi.loops[0], imem, irun, imem, iref, true)
+                  .find("live-out 's1' diverged"),
+              std::string::npos);
 }
 
 TEST(Driver, ResourceLimitedFlag)
@@ -151,8 +259,8 @@ TEST(Driver, ResourceLimitedFlag)
     {
         Module m = parseLirOrDie(kSaxpy);
         ArrayTable arrays = m.arrays;
-        CompiledProgram p = compileLoop(m.loops[0], arrays, mach,
-                                        Technique::ModuloOnly);
+        CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, mach,
+                                             Technique::ModuloOnly);
         EXPECT_TRUE(p.resourceLimited);
     }
     {
@@ -170,8 +278,8 @@ loop t {
 }
 )");
         ArrayTable arrays = m.arrays;
-        CompiledProgram p = compileLoop(m.loops[0], arrays, mach,
-                                        Technique::ModuloOnly);
+        CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, mach,
+                                             Technique::ModuloOnly);
         EXPECT_FALSE(p.resourceLimited);
     }
 }
@@ -182,11 +290,11 @@ TEST(Driver, InvocationOverheadCharged)
     Machine mach = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::ModuloOnly);
     LiveEnv env;
     env["a"] = RtVal::scalarF(1.0);
     MemoryImage mem(arrays);
-    ExecResult r0 = runCompiled(p, arrays, mach, mem, env, 0);
+    ExecResult r0 = tryRunCompiled(p, arrays, mach, mem, env, 0).takeValue();
     EXPECT_EQ(r0.cycles, mach.invocationOverhead);
 }
 
@@ -226,7 +334,7 @@ TEST(ReportJson, CompiledProgramReportsIiAtLeastResMii)
     for (Technique t : {Technique::ModuloOnly, Technique::Full,
                         Technique::Selective}) {
         ArrayTable arrays = m.arrays;
-        CompiledProgram p = compileLoop(m.loops[0], arrays, mach, t);
+        CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, mach, t);
         JsonValue json = jsonOfCompiledProgram(p);
 
         EXPECT_EQ(json.find("technique")->stringValue(),

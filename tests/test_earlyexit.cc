@@ -82,7 +82,7 @@ loop t {
     env["b"] = RtVal::scalarI(5);
     env["x"] = RtVal::scalarF(2.0);
     env["y"] = RtVal::scalarF(-1.0);
-    executeLoop(m.arrays, m.loops[0], machine, mem, env, 1);
+    tryExecuteLoop(m.arrays, m.loops[0], machine, mem, env, 1).takeValue();
     EXPECT_EQ(mem.loadI(0, 0), 1);
     EXPECT_EQ(mem.loadI(0, 8), 0);
 }
@@ -97,8 +97,8 @@ TEST(EarlyExit, ReferenceStopsAtTheExit)
     for (int i = 0; i < 10; ++i)
         mem.storeF(0, i, 1.0);
 
-    RunOutput out = executeLoop(p.module.arrays, p.loop(), p.machine,
-                                mem, p.env, 100);
+    RunOutput out = tryExecuteLoop(p.module.arrays, p.loop(), p.machine,
+                                   mem, p.env, 100).takeValue();
     EXPECT_TRUE(out.exited);
     EXPECT_EQ(out.exitOrig, 10);
     // Stores up to and including iteration 10 committed; iteration
@@ -139,7 +139,7 @@ TEST_P(ExitTechniques, MatchesReferenceAtEveryPhase)
     Prepared p(20.0);
     ArrayTable arrays = p.module.arrays;
     CompiledProgram program =
-        compileLoop(p.loop(), arrays, p.machine, technique);
+        compileLoopOrDie(p.loop(), arrays, p.machine, technique);
 
     auto plant = [&](MemoryImage &mem) {
         mem.fillPattern(73);
@@ -152,12 +152,14 @@ TEST_P(ExitTechniques, MatchesReferenceAtEveryPhase)
     MemoryImage mem(arrays);
     plant(mem);
     ExecResult got =
-        runCompiled(program, arrays, p.machine, mem, p.env, 100);
+        tryRunCompiled(program, arrays, p.machine, mem, p.env,
+                       100).takeValue();
 
     MemoryImage ref(arrays);
     plant(ref);
     ExecResult want =
-        runReference(p.loop(), arrays, p.machine, ref, p.env, 100);
+        tryRunReference(p.loop(), arrays, p.machine, ref, p.env,
+                        100).takeValue();
 
     EXPECT_EQ(mem.diff(ref), "")
         << techniqueName(technique) << " exit@" << exit_at;

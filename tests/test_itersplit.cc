@@ -91,8 +91,10 @@ TEST(IterSplit, Equivalence)
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(51);
     got.fillPattern(51);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 60);
-    executeLoop(c.module.arrays, r.loop, c.machine, got, env, 20);
+    tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                   60).takeValue();
+    tryExecuteLoop(c.module.arrays, r.loop, c.machine, got, env,
+                   20).takeValue();
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -148,8 +150,8 @@ TEST(IterSplit, DriverTechniqueWithCleanup)
     Module m = parseLirOrDie(kSaxpy);
     Machine machine = Ctx::alignedMachine();
     ArrayTable arrays = m.arrays;
-    CompiledProgram p = compileLoop(m.loops[0], arrays, machine,
-                                    Technique::IterationSplit);
+    CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, machine,
+                                         Technique::IterationSplit);
     ASSERT_EQ(p.loops.size(), 1u);
     EXPECT_EQ(p.loops[0].coverage, 3);
 
@@ -160,8 +162,8 @@ TEST(IterSplit, DriverTechniqueWithCleanup)
         MemoryImage mem(arrays), ref(arrays);
         mem.fillPattern(53);
         ref.fillPattern(53);
-        runCompiled(p, arrays, machine, mem, env, n);
-        runReference(m.loops[0], arrays, machine, ref, env, n);
+        tryRunCompiled(p, arrays, machine, mem, env, n).takeValue();
+        tryRunReference(m.loops[0], arrays, machine, ref, env, n).takeValue();
         EXPECT_EQ(mem.diff(ref), "") << "n=" << n;
     }
 }
@@ -171,8 +173,8 @@ TEST(IterSplit, DriverFallsBackWhenInapplicable)
     Module m = parseLirOrDie(kSaxpy);
     Machine machine = paperMachine();   // misaligned: refused
     ArrayTable arrays = m.arrays;
-    CompiledProgram p = compileLoop(m.loops[0], arrays, machine,
-                                    Technique::IterationSplit);
+    CompiledProgram p = compileLoopOrDie(m.loops[0], arrays, machine,
+                                         Technique::IterationSplit);
     EXPECT_EQ(p.loops[0].coverage, machine.vectorLength);
 
     LiveEnv env;
@@ -180,8 +182,8 @@ TEST(IterSplit, DriverFallsBackWhenInapplicable)
     MemoryImage mem(arrays), ref(arrays);
     mem.fillPattern(54);
     ref.fillPattern(54);
-    runCompiled(p, arrays, machine, mem, env, 33);
-    runReference(m.loops[0], arrays, machine, ref, env, 33);
+    tryRunCompiled(p, arrays, machine, mem, env, 33).takeValue();
+    tryRunReference(m.loops[0], arrays, machine, ref, env, 33).takeValue();
     EXPECT_EQ(mem.diff(ref), "");
 }
 
@@ -199,14 +201,14 @@ TEST(IterSplit, WiderUnrollFactors)
         MemoryImage ref(c.module.arrays), got(c.module.arrays);
         ref.fillPattern(55);
         got.fillPattern(55);
-        executeLoop(c.module.arrays, c.loop(), c.machine, ref, env,
-                    60);
-        executeLoop(c.module.arrays, r.loop, c.machine, got, env,
-                    60 / unroll, 0);
+        tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                       60).takeValue();
+        tryExecuteLoop(c.module.arrays, r.loop, c.machine, got, env,
+                       60 / unroll, 0).takeValue();
         // Compare only the fully covered prefix: run the remainder
         // sequentially from the right base.
-        executeLoop(c.module.arrays, c.loop(), c.machine, got, env,
-                    60 % unroll, (60 / unroll) * unroll);
+        tryExecuteLoop(c.module.arrays, c.loop(), c.machine, got, env,
+                       60 % unroll, (60 / unroll) * unroll).takeValue();
         EXPECT_EQ(got.diff(ref), "");
     }
 }

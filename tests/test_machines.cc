@@ -65,8 +65,9 @@ TEST(Machines, ResultsAreMachineIndependent)
     // Reference under any machine (semantics are machine-free).
     MemoryImage ref_mem(m.arrays);
     ref_mem.fillPattern(91);
-    ExecResult ref = runReference(m.loops[0], m.arrays,
-                                  paperMachine(), ref_mem, env, 97);
+    ExecResult ref = tryRunReference(m.loops[0], m.arrays,
+                                     paperMachine(), ref_mem, env, 97)
+                         .takeValue();
 
     for (const Machine &machine :
          {paperMachine(), directMoveMachine(), wideMachine(),
@@ -76,11 +77,11 @@ TEST(Machines, ResultsAreMachineIndependent)
               Technique::Selective}) {
             ArrayTable arrays = m.arrays;
             CompiledProgram p =
-                compileLoop(m.loops[0], arrays, machine, t);
+                compileLoopOrDie(m.loops[0], arrays, machine, t);
             MemoryImage mem(arrays);
             mem.fillPattern(91);
             ExecResult got =
-                runCompiled(p, arrays, machine, mem, env, 97);
+                tryRunCompiled(p, arrays, machine, mem, env, 97).takeValue();
             EXPECT_EQ(mem.diff(ref_mem), "")
                 << machine.name << " " << techniqueName(t);
             ASSERT_TRUE(got.env.count("s1"));
@@ -98,9 +99,9 @@ TEST(Machines, EmbeddedMachineRewardsVectorization)
     Machine machine = embeddedMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram base =
-        compileLoop(m.loops[0], arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::ModuloOnly);
     CompiledProgram sel =
-        compileLoop(m.loops[0], arrays, machine, Technique::Selective);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::Selective);
     EXPECT_LT(sel.iiPerIteration(), base.iiPerIteration());
 }
 

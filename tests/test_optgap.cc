@@ -290,7 +290,7 @@ TEST(ExactPartition, CacheKeyFragmentsOnlyWhenItCanMatter)
 
 TEST(ExactPartition, ReportsAreIdenticalAcrossJobs)
 {
-    Suite suite = makeSuite("125.turb3d");
+    Suite suite = makeSuiteOrDie("125.turb3d");
     Machine machine = paperMachine();
 
     auto render = [&](int jobs) {

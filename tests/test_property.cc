@@ -57,19 +57,19 @@ TEST_P(RandomLoops, AllTechniquesMatchReference)
             ArrayTable arrays = g.module.arrays;
             DriverOptions options;
             options.expansionSize = 256;
-            CompiledProgram program = compileLoop(
+            CompiledProgram program = compileLoopOrDie(
                 g.loop(), arrays, machine, technique, options);
 
             for (int64_t n : {5, 31, 64}) {
                 MemoryImage mem(arrays);
                 mem.fillPattern(42 + static_cast<uint64_t>(n));
-                ExecResult got = runCompiled(program, arrays, machine,
-                                             mem, g.liveIns, n);
+                ExecResult got = tryRunCompiled(program, arrays, machine,
+                                                mem, g.liveIns, n).takeValue();
 
                 MemoryImage ref(arrays);
                 ref.fillPattern(42 + static_cast<uint64_t>(n));
-                ExecResult want = runReference(
-                    g.loop(), arrays, machine, ref, g.liveIns, n);
+                ExecResult want = tryRunReference(
+                    g.loop(), arrays, machine, ref, g.liveIns, n).takeValue();
 
                 ASSERT_EQ(mem.diff(ref), "")
                     << techniqueName(technique) << " n=" << n
@@ -100,7 +100,7 @@ TEST_P(RandomLoops, ScheduleNeverBeatsItsLowerBounds)
          {Technique::ModuloOnly, Technique::Full,
           Technique::Selective}) {
         CompiledProgram program =
-            compileLoop(g.loop(), arrays, machine, technique);
+            compileLoopOrDie(g.loop(), arrays, machine, technique);
         for (const CompiledLoop &cl : program.loops) {
             EXPECT_GE(cl.mainSchedule.ii, cl.mainResMii);
             EXPECT_GE(cl.mainSchedule.ii, cl.mainRecMii);
@@ -198,7 +198,7 @@ TEST_P(RandomLoops, PartitionCostEqualsTransformedResMii)
     Machine machine = paperMachine();
     ArrayTable arrays = g.module.arrays;
     CompiledProgram p =
-        compileLoop(g.loop(), arrays, machine, Technique::Selective);
+        compileLoopOrDie(g.loop(), arrays, machine, Technique::Selective);
     EXPECT_EQ(p.loops[0].mainResMii, p.partition.bestCost);
 }
 

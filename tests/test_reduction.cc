@@ -81,8 +81,8 @@ compileWithReductions(const char *text, const Machine &machine)
     c.arrays = c.module.arrays;
     DriverOptions options;
     options.vectorize.recognizeReductions = true;
-    c.program = compileLoop(c.module.loops[0], c.arrays, machine,
-                            Technique::Selective, options);
+    c.program = compileLoopOrDie(c.module.loops[0], c.arrays, machine,
+                                 Technique::Selective, options);
     return c;
 }
 
@@ -136,8 +136,8 @@ TEST(Reduction, BreaksTheRecurrenceBound)
     Machine mach = paperMachine();
     Module m = parseLirOrDie(kDot);
     ArrayTable plain_arrays = m.arrays;
-    CompiledProgram plain = compileLoop(m.loops[0], plain_arrays, mach,
-                                        Technique::Selective);
+    CompiledProgram plain = compileLoopOrDie(m.loops[0], plain_arrays, mach,
+                                             Technique::Selective);
     Compiled red = compileWithReductions(kDot, mach);
     EXPECT_LT(red.program.iiPerIteration(), plain.iiPerIteration());
 }
@@ -152,12 +152,12 @@ TEST(Reduction, IntegerSumIsExact)
     for (int64_t n : {0, 1, 7, 64, 65}) {
         MemoryImage mem(c.arrays);
         mem.fillPattern(21);
-        ExecResult got = runCompiled(c.program, c.arrays, mach, mem,
-                                     env, n);
+        ExecResult got = tryRunCompiled(c.program, c.arrays, mach, mem,
+                                        env, n).takeValue();
         MemoryImage ref(c.arrays);
         ref.fillPattern(21);
-        ExecResult want = runReference(c.module.loops[0], c.arrays,
-                                       mach, ref, env, n);
+        ExecResult want = tryRunReference(c.module.loops[0], c.arrays,
+                                          mach, ref, env, n).takeValue();
         if (n == 0)
             continue;   // body live-out undefined either way
         ASSERT_TRUE(got.env.count("s1")) << "n=" << n;
@@ -175,12 +175,12 @@ TEST(Reduction, FloatSumMatchesWithinTolerance)
     for (int64_t n : {1, 2, 63, 64, 65}) {
         MemoryImage mem(c.arrays);
         mem.fillPattern(22);
-        ExecResult got = runCompiled(c.program, c.arrays, mach, mem,
-                                     env, n);
+        ExecResult got = tryRunCompiled(c.program, c.arrays, mach, mem,
+                                        env, n).takeValue();
         MemoryImage ref(c.arrays);
         ref.fillPattern(22);
-        ExecResult want = runReference(c.module.loops[0], c.arrays,
-                                       mach, ref, env, n);
+        ExecResult want = tryRunReference(c.module.loops[0], c.arrays,
+                                          mach, ref, env, n).takeValue();
         double g = got.env.at("s1").laneF(0);
         double w = want.env.at("s1").laneF(0);
         EXPECT_NEAR(g, w, 1e-9 * (std::fabs(w) + 1.0)) << "n=" << n;
@@ -199,12 +199,12 @@ TEST(Reduction, MaxNormIsExact)
     for (int64_t n : {1, 2, 31, 64}) {
         MemoryImage mem(c.arrays);
         mem.fillPattern(23);
-        ExecResult got = runCompiled(c.program, c.arrays, mach, mem,
-                                     env, n);
+        ExecResult got = tryRunCompiled(c.program, c.arrays, mach, mem,
+                                        env, n).takeValue();
         MemoryImage ref(c.arrays);
         ref.fillPattern(23);
-        ExecResult want = runReference(c.module.loops[0], c.arrays,
-                                       mach, ref, env, n);
+        ExecResult want = tryRunReference(c.module.loops[0], c.arrays,
+                                          mach, ref, env, n).takeValue();
         EXPECT_EQ(got.env.at("m1"), want.env.at("m1")) << "n=" << n;
     }
 }
@@ -237,13 +237,52 @@ loop prefix {
     EXPECT_FALSE(va.vectorizable[1]);
 }
 
+TEST(Reduction, ReferenceCheckSkipsTheReassociatedSum)
+{
+    // The x^5 addends need more than 53 bits to sum exactly, so the
+    // partial accumulators round differently from the sequential sum:
+    // a bitwise live-out check would report reassociation as a
+    // miscompile.
+    Machine mach = paperMachine();
+    Compiled c = compileWithReductions(R"(
+array X f64 512
+loop fifth {
+    livein s0 f64
+    carried s f64 init s0 update s1
+    body {
+        x = load X[i]
+        y = fmul x x
+        t = fmul y x
+        u = fmul t y
+        s1 = fadd s u
+    }
+    liveout s1
+}
+)", mach);
+    LiveEnv env;
+    env["s0"] = RtVal::scalarF(0.5);
+    MemoryImage mem(c.arrays);
+    mem.fillPattern(23);
+    ExecResult got = tryRunCompiled(c.program, c.arrays, mach, mem, env,
+                                    512).takeValue();
+    MemoryImage ref(c.arrays);
+    ref.fillPattern(23);
+    ExecResult want = tryRunReference(c.module.loops[0], c.arrays, mach,
+                                      ref, env, 512).takeValue();
+    const Loop &loop = c.module.loops[0];
+    EXPECT_NE(referenceMismatch(loop, mem, got, ref, want)
+                  .find("live-out 's1' diverged"),
+              std::string::npos);
+    EXPECT_EQ(referenceMismatch(loop, mem, got, ref, want, true), "");
+}
+
 TEST(Reduction, OffByDefault)
 {
     Machine mach = paperMachine();
     Module m = parseLirOrDie(kDot);
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, mach, Technique::Selective);
+        compileLoopOrDie(m.loops[0], arrays, mach, Technique::Selective);
     for (const CompiledLoop &cl : p.loops)
         EXPECT_TRUE(cl.main.postReduces.empty());
 }

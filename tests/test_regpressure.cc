@@ -23,7 +23,7 @@ pressureOf(const char *text, Technique technique)
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, technique);
+        compileLoopOrDie(m.loops[0], arrays, machine, technique);
     return computeMaxLive(p.loops[0].main, p.loops[0].mainSchedule);
 }
 
@@ -75,7 +75,7 @@ loop t {
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::ModuloOnly);
     RegPressure rp =
         computeMaxLive(p.loops[0].main, p.loops[0].mainSchedule);
     // Two unrolled copies of x, each live for >= load latency cycles,
@@ -110,7 +110,7 @@ loop t {
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::ModuloOnly);
     RegPressure rp =
         computeMaxLive(p.loops[0].main, p.loops[0].mainSchedule);
     // The accumulator is live through the whole kernel.
@@ -134,7 +134,7 @@ loop t {
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::ModuloOnly);
     int64_t q = mveUnrollFactor(p.loops[0].main,
                                 p.loops[0].mainSchedule);
     EXPECT_GE(q, 2);
@@ -159,7 +159,7 @@ loop t {
     Machine machine = paperMachine();
     ArrayTable arrays = m.arrays;
     CompiledProgram p =
-        compileLoop(m.loops[0], arrays, machine, Technique::ModuloOnly);
+        compileLoopOrDie(m.loops[0], arrays, machine, Technique::ModuloOnly);
     int64_t q = mveUnrollFactor(p.loops[0].main,
                                 p.loops[0].mainSchedule);
     EXPECT_LE(q, 2);

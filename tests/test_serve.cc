@@ -30,7 +30,7 @@ namespace
 Suite
 quickSuite()
 {
-    Suite suite = makeSuite("171.swim");
+    Suite suite = makeSuiteOrDie("171.swim");
     for (WorkloadLoop &wl : suite.loops) {
         wl.tripCount = std::min<int64_t>(wl.tripCount, 96);
         wl.invocations = std::max<int64_t>(1, wl.invocations / 4);

@@ -254,7 +254,7 @@ TEST(Engine, SequentialAccumulation)
     LiveEnv env;
     env["s0"] = RtVal::scalarF(100.0);
     RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 8);
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 8).takeValue();
     EXPECT_DOUBLE_EQ(out.liveOuts.at("s1").laneF(0), 128.0);
     EXPECT_DOUBLE_EQ(out.carriedFinal.at("s").laneF(0), 128.0);
 }
@@ -267,7 +267,7 @@ TEST(Engine, ZeroIterations)
     LiveEnv env;
     env["s0"] = RtVal::scalarF(7.0);
     RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 0);
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 0).takeValue();
     // The continuation state is the init; body live-outs are absent.
     EXPECT_DOUBLE_EQ(out.carriedFinal.at("s").laneF(0), 7.0);
     EXPECT_FALSE(out.liveOuts.count("s1"));
@@ -285,7 +285,7 @@ TEST(Engine, BaseOffsetsMemoryAccesses)
     env["s0"] = RtVal::scalarF(0.0);
     // Iterations 8..11 (base 8).
     RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 4, 8);
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 4, 8).takeValue();
     EXPECT_DOUBLE_EQ(out.liveOuts.at("s1").laneF(0),
                      8.0 + 9.0 + 10.0 + 11.0);
 }
@@ -295,7 +295,8 @@ TEST(Engine, UnboundLiveInDies)
     Module m = parseLirOrDie(kAccum);
     Machine mach = paperMachine();
     MemoryImage mem(m.arrays);
-    EXPECT_DEATH(executeLoop(m.arrays, m.loops[0], mach, mem, {}, 4),
+    EXPECT_DEATH(tryExecuteLoop(m.arrays, m.loops[0], mach, mem, {},
+                                4).takeValue(),
                  "unbound");
 }
 
@@ -315,9 +316,9 @@ TEST(Engine, PipelinedMatchesSequentialAndCountsCycles)
     env["s0"] = RtVal::scalarF(1.0);
 
     RunOutput seq =
-        executeLoop(m.arrays, lowered, mach, seq_mem, env, 32);
-    RunOutput pipe = executeLoop(m.arrays, lowered, mach, pipe_mem,
-                                 env, 32, 0, &sr.schedule);
+        tryExecuteLoop(m.arrays, lowered, mach, seq_mem, env, 32).takeValue();
+    RunOutput pipe = tryExecuteLoop(m.arrays, lowered, mach, pipe_mem,
+                                    env, 32, 0, &sr.schedule).takeValue();
 
     EXPECT_EQ(seq.liveOuts.at("s1"), pipe.liveOuts.at("s1"));
     EXPECT_EQ(pipe_mem.diff(seq_mem), "");
@@ -348,8 +349,8 @@ loop t cover 2 {
     mem.storeF(0, 1, 3.0);
     LiveEnv env;
     env["c"] = RtVal::scalarF(10.0);
-    executeLoop(pr.module.arrays, pr.module.loops[0], mach, mem, env,
-                1);
+    tryExecuteLoop(pr.module.arrays, pr.module.loops[0], mach, mem, env,
+                   1).takeValue();
     EXPECT_DOUBLE_EQ(mem.loadF(0, 32), 20.0);
     EXPECT_DOUBLE_EQ(mem.loadF(0, 33), 30.0);
 }
@@ -370,7 +371,8 @@ loop t {
     Machine mach = paperMachine();
     Loop lowered = lowerForScheduling(m.loops[0], mach);
     MemoryImage mem(m.arrays);
-    RunOutput out = executeLoop(m.arrays, lowered, mach, mem, {}, 8);
+    RunOutput out =
+        tryExecuteLoop(m.arrays, lowered, mach, mem, {}, 8).takeValue();
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::MemLoad)], 8);
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::MemStore)], 8);
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::FpMul)], 8);
@@ -401,7 +403,7 @@ loop t {
     LiveEnv env;
     env["lim"] = RtVal::scalarF(5.0);
     RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 20);
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 20).takeValue();
     ASSERT_TRUE(out.exited);
     EXPECT_EQ(out.exitOrig, 5);
     // Stores 0..5 committed and counted; later ones suppressed.

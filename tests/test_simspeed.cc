@@ -421,9 +421,9 @@ TEST(SimAllocation, SteadyStateIsAllocationFree)
         mem.fillPattern(1);
         uint64_t before =
             g_allocations.load(std::memory_order_relaxed);
-        RunOutput out = executeLoop(m.arrays, lowered, machine, mem,
-                                    env, n_body, 0, &sr.schedule,
-                                    &plan);
+        RunOutput out = tryExecuteLoop(m.arrays, lowered, machine, mem,
+                                       env, n_body, 0, &sr.schedule, {},
+                                       &plan).takeValue();
         uint64_t after =
             g_allocations.load(std::memory_order_relaxed);
         EXPECT_EQ(out.bodyIterations, n_body);

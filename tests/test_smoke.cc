@@ -50,15 +50,16 @@ TEST_P(SmokeTest, MatchesReference)
 
     MemoryImage ref_mem(module.arrays);
     ref_mem.fillPattern(42);
-    ExecResult ref = runReference(loop, module.arrays, machine, ref_mem,
-                                  env, n);
+    ExecResult ref = tryRunReference(loop, module.arrays, machine, ref_mem,
+                                     env, n).takeValue();
 
     CompiledProgram program =
-        compileLoop(loop, module.arrays, machine, technique);
+        compileLoopOrDie(loop, module.arrays, machine, technique);
     MemoryImage mem(module.arrays);
     mem.fillPattern(42);
     ExecResult got =
-        runCompiled(program, module.arrays, machine, mem, env, n);
+        tryRunCompiled(program, module.arrays, machine, mem, env,
+                       n).takeValue();
 
     EXPECT_EQ(mem.diff(ref_mem), "");
     ASSERT_TRUE(got.env.count("s1"));
@@ -100,15 +101,15 @@ TEST(Figure1, SelectiveReachesIiOne)
 
     ArrayTable arrays = module.arrays;
     CompiledProgram sel =
-        compileLoop(loop, arrays, machine, Technique::Selective);
+        compileLoopOrDie(loop, arrays, machine, Technique::Selective);
     EXPECT_DOUBLE_EQ(sel.iiPerIteration(), 1.0);
 
     CompiledProgram full =
-        compileLoop(loop, arrays, machine, Technique::Full);
+        compileLoopOrDie(loop, arrays, machine, Technique::Full);
     EXPECT_DOUBLE_EQ(full.iiPerIteration(), 1.5);
 
     CompiledProgram trad =
-        compileLoop(loop, arrays, machine, Technique::Traditional);
+        compileLoopOrDie(loop, arrays, machine, Technique::Traditional);
     EXPECT_DOUBLE_EQ(trad.iiPerIteration(), 3.0);
 }
 

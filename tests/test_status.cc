@@ -80,7 +80,6 @@ TEST(Status, EveryCodeHasAName)
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
     EXPECT_STREQ(errorCodeName(ErrorCode::DeadlineExceeded),
                  "deadline-exceeded");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Cancelled), "cancelled");
     EXPECT_STREQ(errorCodeName(ErrorCode::WatchdogTripped),
                  "watchdog-tripped");
 }

@@ -53,12 +53,13 @@ struct Ctx
             << "test harness wants whole body iterations";
         MemoryImage ref(module.arrays);
         ref.fillPattern(99);
-        executeLoop(module.arrays, loop(), machine, ref, env, n_orig);
+        tryExecuteLoop(module.arrays, loop(), machine, ref, env,
+                       n_orig).takeValue();
 
         MemoryImage got(module.arrays);
         got.fillPattern(99);
-        executeLoop(module.arrays, transformed, machine, got, env,
-                    n_orig / transformed.coverage);
+        tryExecuteLoop(module.arrays, transformed, machine, got, env,
+                       n_orig / transformed.coverage).takeValue();
 
         EXPECT_EQ(got.diff(ref), "");
     }
@@ -255,11 +256,12 @@ loop t {
 
     MemoryImage ref(c.module.arrays);
     ref.fillPattern(5);
-    RunOutput r = executeLoop(c.module.arrays, c.loop(), mach, ref, {},
-                              64);
+    RunOutput r = tryExecuteLoop(c.module.arrays, c.loop(), mach, ref, {},
+                                 64).takeValue();
     MemoryImage got(c.module.arrays);
     got.fillPattern(5);
-    RunOutput g = executeLoop(c.module.arrays, vec, mach, got, {}, 32);
+    RunOutput g =
+        tryExecuteLoop(c.module.arrays, vec, mach, got, {}, 32).takeValue();
     ASSERT_TRUE(g.liveOuts.count("y"));
     EXPECT_EQ(g.liveOuts.at("y"), r.liveOuts.at("y"));
 }

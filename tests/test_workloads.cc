@@ -22,7 +22,7 @@ TEST(Workloads, NineSuitesExist)
 {
     EXPECT_EQ(suiteNames().size(), 9u);
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         EXPECT_EQ(suite.name, name);
         EXPECT_FALSE(suite.loops.empty()) << name;
         EXPECT_FALSE(suite.description.empty()) << name;
@@ -37,7 +37,7 @@ TEST(Workloads, NineSuitesExist)
 
 TEST(Workloads, UnknownSuiteDies)
 {
-    EXPECT_DEATH(makeSuite("999.bogus"), "unknown suite");
+    EXPECT_DEATH(makeSuiteOrDie("999.bogus"), "unknown suite");
 }
 
 class SuiteTechniques
@@ -50,7 +50,7 @@ TEST_P(SuiteTechniques, VerifiesAgainstReference)
     const std::string &name =
         suiteNames()[static_cast<size_t>(std::get<0>(GetParam()))];
     Technique technique = std::get<1>(GetParam());
-    Suite suite = makeSuite(name);
+    Suite suite = makeSuiteOrDie(name);
     Machine machine = paperMachine();
 
     // evaluateSuite() fatals on any memory or live-out divergence.
@@ -89,7 +89,7 @@ TEST(Workloads, Table2OrderingHolds)
     // suite, and selective is the best technique on all but turb3d.
     Machine machine = paperMachine();
     for (const std::string &name : suiteNames()) {
-        Suite suite = makeSuite(name);
+        Suite suite = makeSuiteOrDie(name);
         SuiteReport base =
             evaluateSuite(suite, machine, Technique::ModuloOnly);
         double trad = speedupOver(
@@ -109,7 +109,7 @@ TEST(Workloads, Table2OrderingHolds)
 TEST(Workloads, TomcatvIsTheBigSelectiveWin)
 {
     Machine machine = paperMachine();
-    Suite suite = makeSuite("101.tomcatv");
+    Suite suite = makeSuiteOrDie("101.tomcatv");
     SuiteReport base =
         evaluateSuite(suite, machine, Technique::ModuloOnly);
     SuiteReport sel =
@@ -121,7 +121,7 @@ TEST(Workloads, Turb3dSelectiveDoesNotWin)
 {
     // Low trip counts: prologue/epilogue eat the II gains.
     Machine machine = paperMachine();
-    Suite suite = makeSuite("125.turb3d");
+    Suite suite = makeSuiteOrDie("125.turb3d");
     SuiteReport base =
         evaluateSuite(suite, machine, Technique::ModuloOnly);
     SuiteReport sel =
