@@ -176,18 +176,11 @@ main(int argc, char **argv)
 
             LiveEnv env = defaultLiveIns(loop);
             int64_t n = 64;
-            MemoryImage mem(arrays_ex);
-            mem.fillPattern(17);
-            ExecResult run = tryRunCompiled(ex_prog.value(), arrays_ex,
-                                            machine, mem, env, n)
-                                 .takeValue();
-            MemoryImage ref_mem(arrays_ex);
-            ref_mem.fillPattern(17);
-            ExecResult ref = tryRunReference(loop, arrays_ex, machine,
-                                             ref_mem, env, n)
-                                 .takeValue();
             std::string diff =
-                referenceMismatch(loop, mem, run, ref_mem, ref);
+                tryRunVerified(ex_prog.value(), arrays_ex, machine, 17,
+                               env, n, &loop)
+                    .takeValue()
+                    .mismatch;
             if (!diff.empty()) {
                 std::fprintf(stderr, "%s: exact program DIVERGED: "
                              "%s\n", file.c_str(), diff.c_str());

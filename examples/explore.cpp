@@ -23,11 +23,14 @@
  *   --partition S  Selective partitioner strategy: kl (default),
  *                  exact (the branch-and-bound oracle) or auto
  *
- * Any other `--` flag is a usage error (exit 2).
+ * Any other `--` flag, or a trip count that is not a non-negative
+ * integer, is a usage error (exit 2).
  *
  * Every live-in is bound to a small default value (f64: 0.5, i64: 3);
  * results are checked against the reference interpreter (under
- * --reductions, reassociated f64 live-outs are not compared).
+ * --reductions, reassociated f64 live-outs are not compared). A run
+ * that fails — e.g. a trip count that takes a reference past its
+ * array's extent — prints its status and exits 1.
  */
 
 #include <cstdio>
@@ -157,9 +160,9 @@ main(int argc, char **argv)
                     "kernel; pass a .lir file to analyze your own "
                     "loop)\n\n");
     }
-    int64_t n = positional.size() > 1
-                    ? std::strtoll(positional[1].c_str(), nullptr, 10)
-                    : 2048;
+    int64_t n =
+        positional.size() > 1 ? count("trip-count", positional[1].c_str())
+                              : 2048;
 
     ParseResult pr = parseLir(text);
     if (!pr.ok) {
@@ -193,8 +196,7 @@ main(int argc, char **argv)
         struct TechOutcome
         {
             CompiledProgram program;
-            ExecResult run;
-            std::string diff;
+            Expected<VerifiedRun> run = VerifiedRun{};
         };
         std::vector<TechOutcome> outcomes(tn);
         std::vector<StatsRegistry> sinks(tn);
@@ -206,18 +208,9 @@ main(int argc, char **argv)
             TechOutcome &out = outcomes[i];
             out.program = compileLoopOrDie(loop, arrays, machine,
                                            kTechniques[i], driver_options);
-            MemoryImage mem(arrays);
-            mem.fillPattern(17);
-            out.run = tryRunCompiled(out.program, arrays, machine, mem,
-                                     env, n).takeValue();
-            MemoryImage ref_mem(arrays);
-            ref_mem.fillPattern(17);
-            ExecResult ref = tryRunReference(loop, arrays, machine,
-                                             ref_mem, env, n)
-                                 .takeValue();
-            out.diff = referenceMismatch(
-                loop, mem, out.run, ref_mem, ref,
-                driver_options.vectorize.recognizeReductions);
+            out.run = tryRunVerified(
+                out.program, arrays, machine, 17, env, n, &loop, {},
+                nullptr, driver_options.vectorize.recognizeReductions);
         });
         for (const StatsRegistry &sink : sinks)
             globalStats().mergeFrom(sink);
@@ -232,12 +225,18 @@ main(int argc, char **argv)
         for (size_t i = 0; i < tn; ++i) {
             Technique t = kTechniques[i];
             const CompiledProgram &p = outcomes[i].program;
-            const ExecResult &r = outcomes[i].run;
-            if (!outcomes[i].diff.empty()) {
-                std::printf("  %s DIVERGED: %s\n", techniqueName(t),
-                            outcomes[i].diff.c_str());
+            const Expected<VerifiedRun> &checked = outcomes[i].run;
+            if (!checked.ok()) {
+                std::fprintf(stderr, "%s: %s\n", techniqueName(t),
+                             checked.status().str().c_str());
                 return 1;
             }
+            if (!checked.value().mismatch.empty()) {
+                std::printf("  %s DIVERGED: %s\n", techniqueName(t),
+                            checked.value().mismatch.c_str());
+                return 1;
+            }
+            const ExecResult &r = checked.value().run;
 
             if (t == Technique::ModuloOnly)
                 baseline = r.cycles;

@@ -7,9 +7,10 @@
  *   1. describe the loop in LIR (or build it with LoopBuilder);
  *   2. pick a machine;
  *   3. compileLoopOrDie() with a technique;
- *   4. tryRunCompiled() on a MemoryImage; takeValue() of its Expected
- *      result (a failed run dies with its status) holds the cycles
- *      and live-outs.
+ *   4. tryRunVerified() on a memory pattern; takeValue() of its
+ *      Expected result (a failed run dies with its status) holds the
+ *      cycles, the live-outs and, given the source loop, the
+ *      reference check's verdict.
  */
 
 #include <cstdio>
@@ -73,20 +74,16 @@ loop dot {
     LiveEnv env;
     env["s0"] = RtVal::scalarF(0.0);
 
-    MemoryImage base_mem(arrays);
-    base_mem.fillPattern(1);
-    ExecResult base = tryRunCompiled(baseline, arrays, machine, base_mem,
-                                     env, 4096).takeValue();
-
-    MemoryImage sel_mem(arrays);
-    sel_mem.fillPattern(1);
-    ExecResult sel = tryRunCompiled(selective, arrays, machine, sel_mem,
-                                    env, 4096).takeValue();
-
-    MemoryImage ref_mem(arrays);
-    ref_mem.fillPattern(1);
-    ExecResult ref =
-        tryRunReference(dot, arrays, machine, ref_mem, env, 4096).takeValue();
+    ExecResult base = tryRunVerified(baseline, arrays, machine, 1, env,
+                                     4096, nullptr)
+                          .takeValue()
+                          .run;
+    // Passing the source loop also runs the reference interpreter on
+    // the same memory pattern and compares memory and live-outs.
+    VerifiedRun checked = tryRunVerified(selective, arrays, machine, 1,
+                                         env, 4096, &dot)
+                              .takeValue();
+    const ExecResult &sel = checked.run;
 
     std::printf("baseline cycles:  %lld\n",
                 static_cast<long long>(base.cycles));
@@ -95,8 +92,7 @@ loop dot {
                 static_cast<double>(base.cycles) /
                     static_cast<double>(sel.cycles));
     std::printf("dot product: selective %s reference (%s)\n",
-                sel.env.at("s1") == ref.env.at("s1") ? "matches"
-                                                     : "DIVERGES from",
+                checked.mismatch.empty() ? "matches" : "DIVERGES from",
                 sel.env.at("s1").str().c_str());
     return 0;
 }

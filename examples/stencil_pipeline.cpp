@@ -60,21 +60,16 @@ loop stencil {
                         Technique::Full, Technique::Selective}) {
         ArrayTable arrays = module.arrays;
         CompiledProgram p = compileLoopOrDie(stencil, arrays, machine, t);
-        MemoryImage mem(arrays);
-        mem.fillPattern(7);
-        ExecResult r =
-            tryRunCompiled(p, arrays, machine, mem, env, n).takeValue();
-
         // Always check against the oracle.
-        MemoryImage ref(arrays);
-        ref.fillPattern(7);
-        tryRunReference(stencil, arrays, machine, ref, env, n).takeValue();
-        std::string diff = mem.diff(ref);
-        if (!diff.empty()) {
+        VerifiedRun checked =
+            tryRunVerified(p, arrays, machine, 7, env, n, &stencil)
+                .takeValue();
+        if (!checked.mismatch.empty()) {
             std::printf("%s DIVERGED: %s\n", techniqueName(t),
-                        diff.c_str());
+                        checked.mismatch.c_str());
             return 1;
         }
+        const ExecResult &r = checked.run;
 
         if (t == Technique::ModuloOnly)
             baseline_cycles = r.cycles;

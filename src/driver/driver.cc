@@ -1,5 +1,7 @@
 #include "driver/driver.hh"
 
+#include <optional>
+
 #include "analysis/depgraph.hh"
 #include "driver/compilecache.hh"
 #include "analysis/recmii.hh"
@@ -607,6 +609,36 @@ referenceMismatch(const Loop &loop, const MemoryImage &mem,
         }
     }
     return "";
+}
+
+Expected<VerifiedRun>
+tryRunVerified(const CompiledProgram &program, const ArrayTable &arrays,
+               const Machine &machine, uint64_t mem_pattern,
+               const LiveEnv &live_ins, int64_t n, const Loop *reference,
+               const ExecLimits &limits, const ProgramPlans *plans,
+               bool reassociated)
+{
+    MemoryImage mem(arrays);
+    mem.fillPattern(mem_pattern);
+    std::optional<MemoryImage> ref_mem;
+    if (reference != nullptr)
+        ref_mem.emplace(mem);
+    Expected<ExecResult> run = tryRunCompiled(
+        program, arrays, machine, mem, live_ins, n, limits, plans);
+    if (!run.ok())
+        return run.status();
+    VerifiedRun out;
+    out.run = run.takeValue();
+    if (reference != nullptr) {
+        Expected<ExecResult> ref = tryRunReference(
+            *reference, arrays, machine, *ref_mem, live_ins, n, limits);
+        if (!ref.ok())
+            return ref.status();
+        out.mismatch = referenceMismatch(*reference, mem, out.run,
+                                         *ref_mem, ref.value(),
+                                         reassociated);
+    }
+    return out;
 }
 
 } // namespace selvec

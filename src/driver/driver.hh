@@ -310,6 +310,31 @@ std::string referenceMismatch(const Loop &loop, const MemoryImage &mem,
                               const ExecResult &ref,
                               bool reassociated = false);
 
+/** A compiled run and, when it was checked, the check's verdict. */
+struct VerifiedRun
+{
+    ExecResult run;
+
+    /** referenceMismatch's text: "" when the runs agree or no
+     *  reference ran. */
+    std::string mismatch;
+};
+
+/**
+ * The one verified run: build the image of `arrays`, fill it with
+ * `mem_pattern`, and run `program` over `n` iterations on it (as
+ * tryRunCompiled). When `reference` (the source loop) is given, it
+ * also runs sequentially on a copy of the pristine image, taken
+ * before the pipelined run, and the two are compared by
+ * referenceMismatch (`reassociated` as there). Either run's failure
+ * comes back as its status; a mismatch is the caller's to judge.
+ */
+Expected<VerifiedRun> tryRunVerified(
+    const CompiledProgram &program, const ArrayTable &arrays,
+    const Machine &machine, uint64_t mem_pattern, const LiveEnv &live_ins,
+    int64_t n, const Loop *reference, const ExecLimits &limits = {},
+    const ProgramPlans *plans = nullptr, bool reassociated = false);
+
 } // namespace selvec
 
 #endif // SELVEC_DRIVER_DRIVER_HH

@@ -109,32 +109,19 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
     // it across every constituent main/cleanup run.
     ProgramPlans plans = planCompiled(program, machine);
 
-    MemoryImage mem(arrays);
-    mem.fillPattern(0xC0FFEE ^ wl.loopIndex);
-    Expected<ExecResult> run =
-        tryRunCompiled(program, arrays, machine, mem, wl.liveIns,
-                       wl.tripCount, limits, &plans);
-    if (!run.ok())
-        return quarantine(run.status());
-
-    if (options.verify) {
-        MemoryImage ref_mem(arrays);
-        ref_mem.fillPattern(0xC0FFEE ^ wl.loopIndex);
-        Expected<ExecResult> ref =
-            tryRunReference(loop, arrays, machine, ref_mem,
-                            wl.liveIns, wl.tripCount, limits);
-        if (!ref.ok())
-            return quarantine(ref.status());
-        std::string mismatch = referenceMismatch(
-            loop, mem, run.value(), ref_mem, ref.value());
-        if (!mismatch.empty()) {
-            // A divergence from the reference is a miscompile —
-            // an invariant bug, not bad input.
-            SV_PANIC("%s / %s / %s: %s", suite.name.c_str(),
-                     loop.name.c_str(), techniqueName(technique),
-                     mismatch.c_str());
-        }
+    Expected<VerifiedRun> checked = tryRunVerified(
+        program, arrays, machine, 0xC0FFEE ^ wl.loopIndex, wl.liveIns,
+        wl.tripCount, options.verify ? &loop : nullptr, limits, &plans);
+    if (!checked.ok())
+        return quarantine(checked.status());
+    if (!checked.value().mismatch.empty()) {
+        // A divergence from the reference is a miscompile — an
+        // invariant bug, not bad input.
+        SV_PANIC("%s / %s / %s: %s", suite.name.c_str(),
+                 loop.name.c_str(), techniqueName(technique),
+                 checked.value().mismatch.c_str());
     }
+    const ExecResult &run = checked.value().run;
 
     globalStats().add("evaluate.kernels");
     if (options.verify)
@@ -150,8 +137,8 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
     lr.iiPerIter = program.iiPerIteration();
     lr.resourceLimited = program.resourceLimited;
     lr.distributedLoops = static_cast<int>(program.loops.size());
-    lr.cyclesPerInvocation = run.value().cycles;
-    lr.weightedCycles = run.value().cycles * wl.invocations;
+    lr.cyclesPerInvocation = run.cycles;
+    lr.weightedCycles = run.cycles * wl.invocations;
     lr.partition = program.partition;
     return outcome;
 }

@@ -540,52 +540,22 @@ replayBundle(const ReproBundle &bundle)
         if (!compiled.ok()) {
             outcome.status = compiled.status();
         } else {
-            MemoryImage mem(arrays);
-            mem.fillPattern(
-                static_cast<uint64_t>(bundle.memPattern));
             ExecLimits limits;
             limits.watchdogFactor =
                 bundle.options.scheduling.watchdogFactor;
-            Expected<ExecResult> run = tryRunCompiled(
-                compiled.value(), arrays, bundle.machine, mem,
-                bundle.liveIns, bundle.tripCount, limits);
-            if (!run.ok()) {
-                outcome.status = run.status();
-            } else {
-                MemoryImage refMem(arrays);
-                refMem.fillPattern(
-                    static_cast<uint64_t>(bundle.memPattern));
-                Expected<ExecResult> ref = tryRunReference(
-                    *loop, arrays, bundle.machine, refMem,
-                    bundle.liveIns, bundle.tripCount, limits);
-                if (!ref.ok()) {
-                    outcome.status = ref.status();
-                } else {
-                    std::string diff = mem.diff(refMem);
-                    if (diff.empty()) {
-                        for (ValueId v : loop->liveOuts) {
-                            const std::string &name =
-                                loop->valueInfo(v).name;
-                            if (!ref.value().env.count(name))
-                                continue;
-                            const LiveEnv &env = run.value().env;
-                            if (!env.count(name) ||
-                                !(env.at(name) ==
-                                  ref.value().env.at(name))) {
-                                diff = strfmt(
-                                    "live-out '%s' diverged",
-                                    name.c_str());
-                                break;
-                            }
-                        }
-                    }
-                    if (!diff.empty())
-                        outcome.status = Status::error(
-                            ErrorCode::VerifyFailed, "replay",
-                            strfmt("loop '%s': pipelined execution "
-                                   "diverged from the reference: %s",
-                                   loop->name.c_str(), diff.c_str()));
-                }
+            Expected<VerifiedRun> checked = tryRunVerified(
+                compiled.value(), arrays, bundle.machine,
+                static_cast<uint64_t>(bundle.memPattern),
+                bundle.liveIns, bundle.tripCount, loop, limits);
+            if (!checked.ok()) {
+                outcome.status = checked.status();
+            } else if (!checked.value().mismatch.empty()) {
+                outcome.status = Status::error(
+                    ErrorCode::VerifyFailed, "replay",
+                    strfmt("loop '%s': pipelined execution diverged "
+                           "from the reference: %s",
+                           loop->name.c_str(),
+                           checked.value().mismatch.c_str()));
             }
         }
     }

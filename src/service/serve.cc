@@ -164,18 +164,17 @@ runSlot(Slot &slot, const CompileOut &compiled)
     const ReproBundle &bundle = slot.bundle;
     ExecLimits limits;
     limits.watchdogFactor = bundle.options.scheduling.watchdogFactor;
-    MemoryImage mem(compiled.arrays);
-    mem.fillPattern(static_cast<uint64_t>(bundle.memPattern));
-    Expected<ExecResult> run = tryRunCompiled(
-        compiled.program, compiled.arrays, bundle.machine, mem,
-        bundle.liveIns, bundle.tripCount, limits, &compiled.plans);
+    Expected<VerifiedRun> run = tryRunVerified(
+        compiled.program, compiled.arrays, bundle.machine,
+        static_cast<uint64_t>(bundle.memPattern), bundle.liveIns,
+        bundle.tripCount, nullptr, limits, &compiled.plans);
     if (!run.ok()) {
         slot.status = run.status();
         return;
     }
     int64_t invocations =
         bundle.invocations > 0 ? bundle.invocations : 1;
-    slot.cycles = run.value().cycles * invocations;
+    slot.cycles = run.value().run.cycles * invocations;
 }
 
 JsonValue

@@ -1349,6 +1349,90 @@ addRunStats(const RunOutput &out, const ModuloSchedule *schedule,
     }
 }
 
+/**
+ * The lowest and highest cell `ref` touches over iterations
+ * [first, last] with `width` lanes each; false on int64 overflow.
+ */
+bool
+refSpan(const AffineRef &ref, int64_t first, int64_t last, int64_t width,
+        int64_t *lo, int64_t *hi)
+{
+    int64_t a = 0, b = 0;
+    if (__builtin_mul_overflow(ref.scale, first, &a) ||
+        __builtin_add_overflow(a, ref.offset, &a) ||
+        __builtin_mul_overflow(ref.scale, last, &b) ||
+        __builtin_add_overflow(b, ref.offset, &b) ||
+        __builtin_add_overflow(std::max(a, b), width - 1, hi))
+        return false;
+    *lo = std::min(a, b);
+    return true;
+}
+
+/**
+ * The footprint rule (DESIGN.md §10): every cell a run over
+ * iterations [base, base + n_body) may touch must lie where
+ * MemoryImage accepts it — stores in [0, size), loads in
+ * [-kGuard, size + kGuard). Every iteration counts, even past an
+ * early exit, and so do the preloads (at base) and the poststores
+ * (at base + n_body). A run that does not fit is InvalidInput at
+ * stage "sim", checked before any engine starts.
+ */
+Status
+checkFootprint(const ArrayTable &arrays, const Loop &loop, int vl,
+               int64_t n_body, int64_t base)
+{
+    int64_t end = 0;
+    if (__builtin_add_overflow(base, n_body, &end)) {
+        return Status::error(
+            ErrorCode::InvalidInput, "sim",
+            strfmt("loop '%s': iteration range overflows",
+                   loop.name.c_str()));
+    }
+    auto check = [&](const AffineRef &ref, int64_t first, int64_t last,
+                     int64_t width, bool store) {
+        const ArrayInfo &info = arrays[ref.array];
+        int64_t slack = store ? 0 : MemoryImage::kGuard;
+        int64_t lo = 0, hi = 0;
+        bool fits = refSpan(ref, first, last, width, &lo, &hi);
+        if (fits && lo >= -slack && hi < info.size + slack)
+            return Status::success();
+        std::string where =
+            fits ? strfmt("[%lld]",
+                          static_cast<long long>(lo < -slack ? lo : hi))
+                 : std::string("[overflow]");
+        return Status::error(
+            ErrorCode::InvalidInput, "sim",
+            strfmt("loop '%s': %s %s%s is out of extent (size %lld) "
+                   "over %lld body iterations",
+                   loop.name.c_str(), store ? "store" : "load",
+                   info.name.c_str(), where.c_str(),
+                   static_cast<long long>(info.size),
+                   static_cast<long long>(n_body)));
+    };
+    for (const PreLoad &pl : loop.preloads) {
+        Status st = check(pl.ref, base, base, pl.vector ? vl : 1, false);
+        if (!st.ok())
+            return st;
+    }
+    if (n_body == 0)
+        return Status::success();
+    for (const Operation &op : loop.ops) {
+        if (!op.isMemory())
+            continue;
+        Status st = check(op.ref, base, end - 1,
+                          isVectorOp(op.opcode) ? vl : 1,
+                          isStoreOp(op.opcode));
+        if (!st.ok())
+            return st;
+    }
+    for (const PostStore &ps : loop.poststores) {
+        Status st = check(ps.ref, end, end, 1, true);
+        if (!st.ok())
+            return st;
+    }
+    return Status::success();
+}
+
 } // anonymous namespace
 
 Expected<RunOutput>
@@ -1365,6 +1449,10 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
                    loop.name.c_str(),
                    static_cast<long long>(n_body)));
     }
+    Status footprint =
+        checkFootprint(arrays, loop, machine.vectorLength, n_body, base);
+    if (!footprint.ok())
+        return footprint;
     TraceSpan span(schedule != nullptr ? "sim.pipelined"
                                        : "sim.reference");
     try {

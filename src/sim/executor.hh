@@ -118,9 +118,11 @@ struct ExecLimits
  * contract (DESIGN.md §10): the cycle watchdog of `limits` and the
  * ambient deadline context are checked during the run, and a trip
  * returns a structured WatchdogTripped / DeadlineExceeded status
- * instead of spinning. On failure `mem` (and any other out-of-band
- * state) is partially executed — quarantine callers must treat the
- * loop's results as void.
+ * instead of spinning. A run whose memory references would leave
+ * their arrays' extent is InvalidInput before any engine starts (the
+ * footprint rule, DESIGN.md §10). On failure `mem` (and any other
+ * out-of-band state) is partially executed — quarantine callers must
+ * treat the loop's results as void.
  *
  * @param loop the loop (any coverage)
  * @param machine supplies vector length and latencies

@@ -1,7 +1,8 @@
 #include "sim/memimage.hh"
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
+#include <cstring>
 
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -18,8 +19,8 @@ MemoryImage::MemoryImage(const ArrayTable &arrays) : table(arrays)
     }
 }
 
-const uint64_t *
-MemoryImage::cell(ArrayId arr, int64_t index, bool store) const
+size_t
+MemoryImage::slot(ArrayId arr, int64_t index, bool store) const
 {
     SV_ASSERT(arr >= 0 && arr < table.size(), "bad array id %d", arr);
     const ArrayInfo &info = table[arr];
@@ -34,39 +35,35 @@ MemoryImage::cell(ArrayId arr, int64_t index, bool store) const
                   info.name.c_str(), static_cast<long long>(index),
                   static_cast<long long>(info.size));
     }
-    return &data[static_cast<size_t>(arr)]
-                [static_cast<size_t>(index + kGuard)];
-}
-
-uint64_t *
-MemoryImage::cell(ArrayId arr, int64_t index, bool store)
-{
-    return const_cast<uint64_t *>(
-        static_cast<const MemoryImage *>(this)->cell(arr, index, store));
+    return static_cast<size_t>(index + kGuard);
 }
 
 double
 MemoryImage::loadF(ArrayId arr, int64_t index) const
 {
-    return std::bit_cast<double>(*cell(arr, index, false));
+    return std::bit_cast<double>(
+        data[static_cast<size_t>(arr)][slot(arr, index, false)]);
 }
 
 int64_t
 MemoryImage::loadI(ArrayId arr, int64_t index) const
 {
-    return static_cast<int64_t>(*cell(arr, index, false));
+    return static_cast<int64_t>(
+        data[static_cast<size_t>(arr)][slot(arr, index, false)]);
 }
 
 void
 MemoryImage::storeF(ArrayId arr, int64_t index, double v)
 {
-    *cell(arr, index, true) = std::bit_cast<uint64_t>(v);
+    data[static_cast<size_t>(arr)][slot(arr, index, true)] =
+        std::bit_cast<uint64_t>(v);
 }
 
 void
 MemoryImage::storeI(ArrayId arr, int64_t index, int64_t v)
 {
-    *cell(arr, index, true) = static_cast<uint64_t>(v);
+    data[static_cast<size_t>(arr)][slot(arr, index, true)] =
+        static_cast<uint64_t>(v);
 }
 
 void
@@ -75,16 +72,17 @@ MemoryImage::fillPattern(uint64_t seed)
     Rng rng(seed);
     for (ArrayId a = 0; a < table.size(); ++a) {
         const ArrayInfo &info = table[a];
-        for (int64_t i = 0; i < info.size; ++i) {
-            if (info.elemType == Type::F64) {
-                // Small magnitudes keep every technique's arithmetic
-                // exactly representable enough for bitwise comparison.
-                double v = static_cast<double>(rng.range(-1024, 1024)) /
-                           32.0;
-                storeF(a, i, v);
-            } else {
-                storeI(a, i, rng.range(-4096, 4096));
-            }
+        uint64_t *cells = data[static_cast<size_t>(a)].data() + kGuard;
+        if (info.elemType == Type::F64) {
+            // Small magnitudes keep every technique's arithmetic
+            // exactly representable enough for bitwise comparison.
+            for (int64_t i = 0; i < info.size; ++i)
+                cells[i] = std::bit_cast<uint64_t>(
+                    static_cast<double>(rng.range(-1024, 1024)) / 32.0);
+        } else {
+            for (int64_t i = 0; i < info.size; ++i)
+                cells[i] =
+                    static_cast<uint64_t>(rng.range(-4096, 4096));
         }
     }
 }
@@ -98,16 +96,21 @@ MemoryImage::diff(const MemoryImage &other) const
         const ArrayInfo &info = table[a];
         if (info.synthesized)
             continue;
-        for (int64_t i = 0; i < info.size; ++i) {
-            uint64_t lhs = *cell(a, i, false);
-            uint64_t rhs = *other.cell(a, i, false);
-            if (lhs != rhs) {
-                return strfmt("%s[%lld]: %g vs %g", info.name.c_str(),
-                              static_cast<long long>(i),
-                              std::bit_cast<double>(lhs),
-                              std::bit_cast<double>(rhs));
-            }
-        }
+        const std::vector<uint64_t> &mine = data[static_cast<size_t>(a)];
+        const std::vector<uint64_t> &theirs =
+            other.data[static_cast<size_t>(a)];
+        SV_ASSERT(mine.size() == theirs.size(),
+                  "comparing images over different array tables");
+        const uint64_t *lhs = mine.data() + kGuard;
+        const uint64_t *rhs = theirs.data() + kGuard;
+        size_t n = static_cast<size_t>(info.size);
+        if (std::memcmp(lhs, rhs, n * sizeof(uint64_t)) == 0)
+            continue;
+        auto [l, r] = std::mismatch(lhs, lhs + n, rhs);
+        return strfmt("%s[%lld]: %g vs %g", info.name.c_str(),
+                      static_cast<long long>(l - lhs),
+                      std::bit_cast<double>(*l),
+                      std::bit_cast<double>(*r));
     }
     return "";
 }

@@ -34,15 +34,17 @@ class MemoryImage
 
     /**
      * Compare the non-synthesized arrays' in-bounds contents. Returns
-     * a description of the first mismatch, or "" when equal.
+     * a description of the first mismatch in array-then-index order,
+     * or "" when equal.
      */
     std::string diff(const MemoryImage &other) const;
 
     const ArrayTable &arrays() const { return table; }
 
   private:
-    const uint64_t *cell(ArrayId arr, int64_t index, bool store) const;
-    uint64_t *cell(ArrayId arr, int64_t index, bool store);
+    /** Position of (arr, index) in data[arr]; asserts the bounds
+     *  (stores in [0, size), loads within the guard band). */
+    size_t slot(ArrayId arr, int64_t index, bool store) const;
 
     const ArrayTable &table;
     std::vector<std::vector<uint64_t>> data;

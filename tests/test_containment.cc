@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "driver/evaluate.hh"
 #include "driver/repro.hh"
@@ -620,6 +621,266 @@ TEST(Repro, CleanConfigurationDoesNotReproduce)
     ReplayOutcome outcome = replayBundle(bundle);
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.str();
     EXPECT_FALSE(outcome.reproduced);
+}
+
+// ---------------------------------------------------------------------
+// The footprint rule: a run that would touch a cell outside its
+// array's extent is InvalidInput before any engine starts.
+
+/** A strided load that leaves GF0 (2336 elements) past trip 776. */
+const char *kStridedLir = R"(
+array GF0 f64 2336
+array GF2 f64 2336
+
+loop gen {
+    body {
+        ld = load GF0[3i + 7]
+        store GF2[i] = ld
+    }
+}
+)";
+
+/** `lir`'s first loop as a self-contained request at `trip`. */
+ReproBundle
+bundleOf(const char *lir, Technique technique, int64_t trip)
+{
+    ReproBundle bundle;
+    bundle.module = parseLirOrDie(lir);
+    bundle.name = bundle.module.loops.front().name;
+    bundle.machine = paperMachine();
+    bundle.technique = technique;
+    bundle.tripCount = trip;
+    bundle.memPattern = 17;
+    return bundle;
+}
+
+TEST(Footprint, OutOfExtentRunIsInvalidInputInEveryTechnique)
+{
+    Module module = parseLirOrDie(kStridedLir);
+    const Loop &loop = module.loops.front();
+    Machine machine = paperMachine();
+    for (Technique t : {Technique::ModuloOnly, Technique::Traditional,
+                        Technique::Full, Technique::Selective,
+                        Technique::IterationSplit}) {
+        ArrayTable arrays = module.arrays;
+        CompiledProgram program =
+            compileLoopOrDie(loop, arrays, machine, t);
+        Expected<VerifiedRun> run =
+            tryRunVerified(program, arrays, machine, 17, {}, 2048, &loop);
+        ASSERT_FALSE(run.ok()) << techniqueName(t);
+        EXPECT_EQ(run.status().code(), ErrorCode::InvalidInput);
+        EXPECT_EQ(run.status().stage(), "sim");
+        EXPECT_NE(run.status().message().find("load GF0["),
+                  std::string::npos)
+            << run.status().str();
+        EXPECT_NE(run.status().message().find("(size 2336)"),
+                  std::string::npos)
+            << run.status().str();
+
+        // The same loop at a trip that fits runs and verifies.
+        Expected<VerifiedRun> fits =
+            tryRunVerified(program, arrays, machine, 17, {}, 776, &loop);
+        ASSERT_TRUE(fits.ok()) << fits.status().str();
+        EXPECT_EQ(fits.value().mismatch, "");
+    }
+
+    // The reference alone is held to the same rule.
+    MemoryImage mem(module.arrays);
+    Expected<ExecResult> ref = tryRunReference(
+        loop, module.arrays, machine, mem, {}, 2048);
+    ASSERT_FALSE(ref.ok());
+    EXPECT_EQ(ref.status().code(), ErrorCode::InvalidInput);
+
+    // A trip count whose indices pass int64 is rejected the same way.
+    Expected<ExecResult> huge = tryRunReference(
+        loop, module.arrays, machine, mem, {},
+        std::numeric_limits<int64_t>::max());
+    ASSERT_FALSE(huge.ok());
+    EXPECT_NE(huge.status().message().find("load GF0[overflow]"),
+              std::string::npos)
+        << huge.status().str();
+}
+
+TEST(Footprint, LoadsMayUseTheGuardBandStoresMayNot)
+{
+    const char *lir = R"(
+array A f64 64
+array B f64 64
+
+loop edge {
+    body {
+        x = load A[i + 64]
+        store B[i] = x
+    }
+}
+)";
+    Module module = parseLirOrDie(lir);
+    const Loop &loop = module.loops.front();
+    Machine machine = paperMachine();
+    auto run = [&](int64_t n) {
+        MemoryImage mem(module.arrays);
+        return tryExecuteLoop(module.arrays, loop, machine, mem, {}, n);
+    };
+    // Loads reach A[127], the last guard cell, and stores B[63].
+    EXPECT_TRUE(run(64).ok());
+    // One more iteration stores past B's end.
+    Expected<RunOutput> over = run(65);
+    ASSERT_FALSE(over.ok());
+    EXPECT_NE(over.status().message().find("load A[128]"),
+              std::string::npos)
+        << over.status().str();
+}
+
+TEST(Footprint, StoresPastAnEarlyExitStillCount)
+{
+    // The exit fires on the first iteration, but the footprint rule
+    // counts every iteration's store (DESIGN.md §10).
+    const char *lir = R"(
+array A f64 16
+
+loop leave {
+    livein k i64
+    body {
+        one = iconst 1
+        c = icmplt k one
+        exitif c
+        x = fconst 1.5
+        store A[i] = x
+    }
+}
+)";
+    Module module = parseLirOrDie(lir);
+    const Loop &loop = module.loops.front();
+    MemoryImage mem(module.arrays);
+    LiveEnv env{{"k", RtVal::scalarI(0)}};
+    EXPECT_TRUE(tryExecuteLoop(module.arrays, loop, paperMachine(), mem,
+                               env, 16)
+                    .ok());
+    Expected<RunOutput> over = tryExecuteLoop(
+        module.arrays, loop, paperMachine(), mem, env, 17);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), ErrorCode::InvalidInput);
+    EXPECT_NE(over.status().message().find("store A[16]"),
+              std::string::npos)
+        << over.status().str();
+}
+
+TEST(Footprint, ReplayOfAnOutOfExtentBundleIsInvalidInput)
+{
+    ReproBundle bundle =
+        bundleOf(kStridedLir, Technique::Selective, 100000);
+    bundle.failure = Status::error(ErrorCode::InvalidInput, "sim", "");
+    ReplayOutcome outcome = replayBundle(bundle);
+    EXPECT_EQ(outcome.status.code(), ErrorCode::InvalidInput)
+        << outcome.status.str();
+    EXPECT_EQ(outcome.status.stage(), "sim");
+    EXPECT_TRUE(outcome.reproduced);
+}
+
+// ---------------------------------------------------------------------
+// The one verified run (tryRunVerified).
+
+TEST(VerifiedRun, MatchesSeparatelyFilledRuns)
+{
+    Module module = parseLirOrDie(kDotProduct);
+    const Loop &loop = module.loops.front();
+    Machine machine = paperMachine();
+    ArrayTable arrays = module.arrays;
+    CompiledProgram program =
+        compileLoopOrDie(loop, arrays, machine, Technique::Selective);
+    LiveEnv env{{"s0", RtVal::scalarF(0.5)}};
+
+    VerifiedRun checked =
+        tryRunVerified(program, arrays, machine, 9, env, 1001, &loop)
+            .takeValue();
+    EXPECT_EQ(checked.mismatch, "");
+
+    // The same runs on two separately filled images.
+    MemoryImage mem(arrays);
+    mem.fillPattern(9);
+    ExecResult run =
+        tryRunCompiled(program, arrays, machine, mem, env, 1001)
+            .takeValue();
+    MemoryImage ref_mem(arrays);
+    ref_mem.fillPattern(9);
+    ExecResult ref =
+        tryRunReference(loop, arrays, machine, ref_mem, env, 1001)
+            .takeValue();
+    EXPECT_EQ(checked.run.cycles, run.cycles);
+    EXPECT_TRUE(checked.run.env == run.env);
+    EXPECT_TRUE(checked.run.env.at("s1") == ref.env.at("s1"));
+
+    // Without a source loop nothing is compared.
+    VerifiedRun unchecked =
+        tryRunVerified(program, arrays, machine, 9, env, 1001, nullptr)
+            .takeValue();
+    EXPECT_EQ(unchecked.mismatch, "");
+    EXPECT_EQ(unchecked.run.cycles, run.cycles);
+}
+
+TEST(VerifiedRun, MutatedProgramReportsTheMismatch)
+{
+    Module module = parseLirOrDie(kTrioLir);
+    const Loop &alpha = module.loops.front();   // C[i] = A[i] + B[i]
+    Machine machine = paperMachine();
+    ArrayTable arrays = module.arrays;
+    CompiledProgram program =
+        compileLoopOrDie(alpha, arrays, machine, Technique::ModuloOnly);
+
+    // Turn the add into a subtract: same class and latency, so the
+    // schedule stays valid and only the values change.
+    bool mutated = false;
+    for (Operation &op : program.loops[0].main.ops) {
+        if (op.opcode == Opcode::FAdd && !mutated) {
+            op.opcode = Opcode::FSub;
+            mutated = true;
+        }
+    }
+    ASSERT_TRUE(mutated);
+
+    VerifiedRun checked =
+        tryRunVerified(program, arrays, machine, 17, {}, 64, &alpha)
+            .takeValue();
+    EXPECT_EQ(checked.mismatch.rfind("memory diverged: C[0]: ", 0), 0u)
+        << checked.mismatch;
+}
+
+TEST(VerifiedRun, ReplayOfADivergingRunIsVerifyFailed)
+{
+    // A reassociated f64 reduction whose terms are inexact: partial
+    // accumulators change the sum's low bits, and replay compares
+    // every live-out bitwise.
+    const char *lir = R"(
+array X f64 4096
+
+loop tenth {
+    livein s0 f64
+    carried s f64 init s0 update s1
+    body {
+        x = load X[i]
+        k = fconst 0.1
+        t = fmul x k
+        s1 = fadd s t
+    }
+    liveout s1
+}
+)";
+    ReproBundle bundle = bundleOf(lir, Technique::Selective, 4000);
+    bundle.liveIns = {{"s0", RtVal::scalarF(0.0)}};
+    bundle.options.vectorize.recognizeReductions = true;
+    bundle.failure = Status::error(ErrorCode::VerifyFailed, "replay", "");
+    ReplayOutcome outcome = replayBundle(bundle);
+    EXPECT_EQ(outcome.status.code(), ErrorCode::VerifyFailed)
+        << outcome.status.str();
+    EXPECT_EQ(outcome.status.stage(), "replay");
+    EXPECT_NE(outcome.status.message().find("live-out 's1' diverged"),
+              std::string::npos)
+        << outcome.status.str();
+    EXPECT_TRUE(outcome.reproduced);
+
+    // Scalar order is exact: the unreassociated compile replays clean.
+    bundle.options.vectorize.recognizeReductions = false;
+    EXPECT_TRUE(replayBundle(bundle).status.ok());
 }
 
 } // anonymous namespace

@@ -174,6 +174,42 @@ TEST(ServeBatch, RepeatedRequestCompilesOnce)
               docs[3].find("cycles")->intValue());
 }
 
+TEST(ServeBatch, OutOfExtentRequestIsAnErrorResponse)
+{
+    Suite suite = quickSuite();
+    const WorkloadLoop &wl = suite.loops.front();
+    std::string line = requestLineOf(suite, wl, Technique::Selective);
+    Expected<JsonValue> far = parseJson(line);
+    ASSERT_TRUE(far.ok());
+    // Its references run far past the suite's array extents.
+    far.value().set("trip_count", JsonValue(int64_t{100000}));
+
+    std::stringstream in(line + "\n" + far.value().dump(0) + "\n" +
+                         line + "\n");
+    std::stringstream out;
+    ServeOptions options;
+    options.jobs = 4;
+    ServeSummary summary = serveBatch(in, out, options);
+    EXPECT_EQ(summary.ok, 2);
+    EXPECT_EQ(summary.failed, 1);
+
+    std::vector<JsonValue> docs = responsesOf(out.str());
+    ASSERT_EQ(docs.size(), 3u);
+    EXPECT_TRUE(docs[0].find("ok")->boolValue());
+    EXPECT_TRUE(docs[2].find("ok")->boolValue());
+    EXPECT_EQ(docs[0].find("cycles")->intValue(),
+              docs[2].find("cycles")->intValue());
+    EXPECT_FALSE(docs[1].find("ok")->boolValue());
+    const JsonValue *status = docs[1].find("status");
+    ASSERT_NE(status, nullptr);
+    EXPECT_EQ(status->find("code")->stringValue(), "invalid-input");
+    EXPECT_EQ(status->find("stage")->stringValue(), "sim");
+    EXPECT_NE(status->find("message")->stringValue().find(
+                  "out of extent"),
+              std::string::npos)
+        << docs[1].dump();
+}
+
 // ---------------------------------------------------------------------
 // Command lines.
 

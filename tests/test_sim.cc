@@ -47,13 +47,23 @@ TEST(MemImage, GuardReadsAllowedStoresNot)
 TEST(MemImage, DiffFindsFirstMismatch)
 {
     ArrayTable arrays;
-    arrays.add(ArrayInfo{"F", Type::F64, 16, false, 2});
+    ArrayId f = arrays.add(ArrayInfo{"F", Type::F64, 16, false, 2});
+    ArrayId g = arrays.add(ArrayInfo{"G", Type::F64, 16, false, 2});
     MemoryImage a(arrays), b(arrays);
     a.fillPattern(1);
     b.fillPattern(1);
     EXPECT_EQ(a.diff(b), "");
     b.storeF(0, 7, 123.0);
     EXPECT_NE(a.diff(b), "");
+
+    // With several mismatches: the earliest in array-then-index order,
+    // and only that cell is formatted.
+    b.storeF(g, 2, 1.5);       // earlier index, later array
+    b.storeF(f, 13, 200.0);
+    EXPECT_EQ(a.diff(b), strfmt("F[7]: %g vs 123", a.loadF(f, 7)));
+    b.storeF(f, 7, a.loadF(f, 7));
+    b.storeF(f, 13, a.loadF(f, 13));
+    EXPECT_EQ(a.diff(b), strfmt("G[2]: %g vs 1.5", a.loadF(g, 2)));
 }
 
 TEST(MemImage, DiffIgnoresSynthesizedArrays)
@@ -76,6 +86,27 @@ TEST(MemImage, FillPatternDeterministic)
     EXPECT_EQ(a.diff(b), "");
     b.fillPattern(8);
     EXPECT_NE(a.diff(b), "");
+}
+
+TEST(MemImage, CopyOfAFilledImageIsByteIdenticalToAFreshFill)
+{
+    ArrayTable arrays;
+    arrays.add(ArrayInfo{"F", Type::F64, 40, false, 2});
+    arrays.add(ArrayInfo{"I", Type::I64, 24, false, 2});
+    arrays.add(ArrayInfo{"T", Type::F64, 8, true, 2});
+    MemoryImage filled(arrays);
+    filled.fillPattern(0xC0FFEE);
+    MemoryImage copy = filled;
+    MemoryImage fresh(arrays);
+    fresh.fillPattern(0xC0FFEE);
+    // Every cell, guard bands and synthesized arrays included.
+    for (ArrayId a = 0; a < arrays.size(); ++a) {
+        for (int64_t i = -MemoryImage::kGuard;
+             i < arrays[a].size + MemoryImage::kGuard; ++i) {
+            ASSERT_EQ(copy.loadI(a, i), fresh.loadI(a, i))
+                << arrays[a].name << "[" << i << "]";
+        }
+    }
 }
 
 // ------------------------------------------------------------ semantics
