@@ -149,9 +149,8 @@ PartitionResult partitionOps(const Loop &loop, const VectAnalysis &va,
  * Partitioning as a recoverable stage: validates the inputs (the
  * analysis must describe exactly this loop, options knobs must be
  * sane), carries the "partition.kl" fault injection point, reports
- * PartitionFailed instead of dying — the driver degrades to full
- * vectorization — and converts a deadline-stopped search into a
- * DeadlineExceeded status.
+ * PartitionFailed instead of dying, and converts a deadline-stopped
+ * search into a DeadlineExceeded status.
  */
 Expected<PartitionResult>
 tryPartitionOps(const Loop &loop, const VectAnalysis &va,

@@ -238,26 +238,6 @@ tryCompileLoopImpl(const Loop &loop, ArrayTable &arrays,
     return program;
 }
 
-/**
- * The degradation chain's last resort: schedule the source loop as-is
- * (coverage 1, no unrolling, no vectorization). Shares nothing with
- * the technique pipeline beyond the scheduler itself, so it survives
- * failures injected into partitioning or transformation.
- */
-Expected<CompiledProgram>
-tryCompileScalar(const Loop &loop, const ArrayTable &arrays,
-                 const Machine &machine, const DriverOptions &options)
-{
-    CompiledProgram program;
-    program.technique = Technique::ModuloOnly;
-    Expected<CompiledLoop> cl =
-        compilePair(loop, loop, arrays, machine, options.scheduling);
-    if (!cl.ok())
-        return cl.status();
-    program.loops.push_back(cl.takeValue());
-    return program;
-}
-
 } // anonymous namespace
 
 Expected<CompiledProgram>
@@ -342,88 +322,6 @@ compileLoopOrDie(const Loop &loop, ArrayTable &arrays,
     if (!program.ok())
         SV_FATAL("%s", program.status().str().c_str());
     return program.takeValue();
-}
-
-std::string
-CompileReport::str() const
-{
-    std::string out = std::string("requested ") +
-                      techniqueName(requested) + ":";
-    for (const CompileAttempt &a : attempts) {
-        out += "\n  ";
-        out += a.scalarFallback ? "scalar" : techniqueName(a.technique);
-        if (a.status.ok()) {
-            out += strfmt(" ok (II/iter %.3g)", a.iiPerIteration);
-        } else {
-            out += " failed: " + a.status.str();
-        }
-    }
-    if (!succeeded)
-        out += "\n  all tiers failed: " + finalStatus.str();
-    return out;
-}
-
-ResilientCompile
-compileLoopResilient(const Loop &loop, ArrayTable &arrays,
-                     const Machine &machine, Technique technique,
-                     const DriverOptions &options)
-{
-    TraceSpan span("driver.resilient");
-    globalStats().add("driver.resilient.runs");
-    ResilientCompile result;
-    result.report.requested = technique;
-
-    // The degradation chain: the requested technique first, then the
-    // paper's spectrum from most to least aggressive, then the
-    // last-resort scalar schedule of the source loop itself.
-    std::vector<Technique> chain{technique};
-    for (Technique t : {Technique::Selective, Technique::Full,
-                        Technique::ModuloOnly}) {
-        if (t != technique)
-            chain.push_back(t);
-    }
-    size_t tiers = chain.size() + 1;
-
-    std::string reason;
-    for (size_t tier = 0; tier < tiers; ++tier) {
-        bool scalar = tier == chain.size();
-        CompileAttempt attempt;
-        attempt.technique =
-            scalar ? Technique::ModuloOnly : chain[tier];
-        attempt.scalarFallback = scalar;
-        attempt.fallbackReason = reason;
-
-        Expected<CompiledProgram> program =
-            scalar ? tryCompileScalar(loop, arrays, machine, options)
-                   : tryCompileLoop(loop, arrays, machine, chain[tier],
-                                    options);
-        if (program.ok()) {
-            attempt.status = Status::success();
-            attempt.iiPerIteration =
-                program.value().iiPerIteration();
-            result.report.attempts.push_back(std::move(attempt));
-            result.report.succeeded = true;
-            result.report.finalTechnique =
-                scalar ? Technique::ModuloOnly : chain[tier];
-            result.report.usedScalarFallback = scalar;
-            result.report.finalStatus = Status::success();
-            result.program = program.takeValue();
-
-            StatsRegistry &stats = globalStats();
-            stats.add(std::string("driver.resilient.tier.") +
-                      (scalar ? "scalar"
-                              : techniqueName(chain[tier])));
-            if (result.report.degraded())
-                stats.add("driver.resilient.degraded");
-            return result;
-        }
-        attempt.status = program.status();
-        reason = program.status().str();
-        result.report.finalStatus = program.status();
-        result.report.attempts.push_back(std::move(attempt));
-    }
-    globalStats().add("driver.resilient.exhausted");
-    return result;
 }
 
 ProgramPlans

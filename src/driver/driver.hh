@@ -139,84 +139,6 @@ CompiledProgram compileLoopOrDie(const Loop &loop, ArrayTable &arrays,
                                  Technique technique,
                                  const DriverOptions &options = {});
 
-/** One tier of the degradation chain, as recorded in a
- *  CompileReport. */
-struct CompileAttempt
-{
-    Technique technique = Technique::ModuloOnly;
-
-    /** True for the last-resort tier: the source loop scheduled as-is
-     *  (coverage 1), with no unrolling or vectorization. */
-    bool scalarFallback = false;
-
-    /** Outcome of this attempt (Ok when it produced a program). */
-    Status status;
-
-    /** Why this tier ran at all: the previous tier's failure ("" for
-     *  the first attempt). */
-    std::string fallbackReason;
-
-    /** Achieved II per original iteration (successful attempts). */
-    double iiPerIteration = 0.0;
-};
-
-/**
- * The audit trail of a resilient compilation: every technique tried,
- * in order, with each failure's structured status and the II finally
- * achieved. Callers and benches inspect it; str() renders it for
- * logs.
- */
-struct CompileReport
-{
-    Technique requested = Technique::ModuloOnly;
-    std::vector<CompileAttempt> attempts;
-
-    bool succeeded = false;
-    Technique finalTechnique = Technique::ModuloOnly;
-    bool usedScalarFallback = false;
-
-    /** Ok when succeeded; the last tier's failure otherwise. */
-    Status finalStatus;
-
-    /** True when the program did not come from the requested
-     *  technique. */
-    bool
-    degraded() const
-    {
-        return !succeeded || usedScalarFallback ||
-               finalTechnique != requested;
-    }
-
-    std::string str() const;
-};
-
-/** Outcome of compileLoopResilient: a program (when any tier
- *  succeeded) plus the full report. */
-struct ResilientCompile
-{
-    CompiledProgram program;    ///< valid only when ok()
-    CompileReport report;
-
-    bool ok() const { return report.succeeded; }
-};
-
-/**
- * Compile with graceful degradation: attempt `technique`, and on any
- * recoverable failure fall back through cheaper techniques —
- * Selective -> Full -> ModuloOnly -> single-iteration scalar schedule
- * (the requested technique always runs first, then the remaining
- * chain). Never fatals; if every tier fails (only possible with
- * persistent fault injection or a degenerate machine), the report
- * carries the last status. `arrays` is only updated when a tier
- * succeeds, and only with that tier's temporaries. Tiers run
- * serially and stop at the first success.
- */
-ResilientCompile compileLoopResilient(const Loop &loop,
-                                      ArrayTable &arrays,
-                                      const Machine &machine,
-                                      Technique technique,
-                                      const DriverOptions &options = {});
-
 /**
  * Prebuilt streaming-executor plans for every loop of a compiled
  * program (sim/execplan.hh). A plan depends only on (loop, schedule,

@@ -87,19 +87,8 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
     DriverOptions dopt = loopDriverOptions(wl, options);
     Expected<CompiledProgram> compiled =
         tryCompileLoop(loop, arrays, machine, technique, dopt);
-    if (!compiled.ok()) {
-        // Audit probe: walk the degradation chain on a scratch table
-        // so the failure entry records which fallback tiers would
-        // have recovered. With an expired deadline every tier fails
-        // fast at its first poll, so the probe stays cheap.
-        ArrayTable probeArrays = suite.module.arrays;
-        ResilientCompile probe = compileLoopResilient(
-            loop, probeArrays, machine, technique, dopt);
-        quarantine(compiled.status());
-        outcome.failure.audit = probe.report;
-        outcome.failure.hasAudit = true;
-        return outcome;
-    }
+    if (!compiled.ok())
+        return quarantine(compiled.status());
     const CompiledProgram &program = compiled.value();
 
     ExecLimits limits;

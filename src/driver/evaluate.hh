@@ -53,12 +53,6 @@ struct LoopFailure
      *  stays out of documents: reportjson zeroes it unless
      *  SELVEC_TIMINGS is set. */
     int64_t elapsedNs = 0;
-
-    /** Degradation audit: which fallback tiers were attempted after
-     *  the primary compile failed, and how each fared. Compile
-     *  failures only (hasAudit false for simulation failures). */
-    CompileReport audit;
-    bool hasAudit = false;
 };
 
 struct SuiteReport

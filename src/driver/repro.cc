@@ -253,6 +253,16 @@ machineOfJson(const JsonValue &doc)
     return m;
 }
 
+const Loop &
+ReproBundle::sourceLoop() const
+{
+    const Loop *loop = &module.loops.front();
+    for (const Loop &candidate : module.loops)
+        if (candidate.name == name)
+            loop = &candidate;
+    return *loop;
+}
+
 JsonValue
 jsonOfReproBundle(const ReproBundle &bundle)
 {
@@ -528,14 +538,10 @@ replayBundle(const ReproBundle &bundle)
                                  ? Deadline::afterMs(bundle.deadlineMs)
                                  : Deadline::never());
 
-        const Loop *loop = &bundle.module.loops.front();
-        for (const Loop &candidate : bundle.module.loops)
-            if (candidate.name == bundle.name)
-                loop = &candidate;
-
+        const Loop &loop = bundle.sourceLoop();
         ArrayTable arrays = bundle.module.arrays;
         Expected<CompiledProgram> compiled =
-            tryCompileLoop(*loop, arrays, bundle.machine,
+            tryCompileLoop(loop, arrays, bundle.machine,
                            bundle.technique, bundle.options);
         if (!compiled.ok()) {
             outcome.status = compiled.status();
@@ -546,7 +552,7 @@ replayBundle(const ReproBundle &bundle)
             Expected<VerifiedRun> checked = tryRunVerified(
                 compiled.value(), arrays, bundle.machine,
                 static_cast<uint64_t>(bundle.memPattern),
-                bundle.liveIns, bundle.tripCount, loop, limits);
+                bundle.liveIns, bundle.tripCount, &loop, limits);
             if (!checked.ok()) {
                 outcome.status = checked.status();
             } else if (!checked.value().mismatch.empty()) {
@@ -554,7 +560,7 @@ replayBundle(const ReproBundle &bundle)
                     ErrorCode::VerifyFailed, "replay",
                     strfmt("loop '%s': pipelined execution diverged "
                            "from the reference: %s",
-                           loop->name.c_str(),
+                           loop.name.c_str(),
                            checked.value().mismatch.c_str()));
             }
         }

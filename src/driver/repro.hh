@@ -53,6 +53,11 @@ struct ReproBundle
 
     /** The recorded failure (never Ok in a written bundle). */
     Status failure;
+
+    /** The loop the bundle compiles: the module's loop named like
+     *  the bundle (the last, if several are), else its first. The
+     *  module must hold a loop, as every parsed bundle does. */
+    const Loop &sourceLoop() const;
 };
 
 /** Machine description as JSON (names, not indices: documents stay

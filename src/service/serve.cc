@@ -93,18 +93,6 @@ parseServeArgs(const std::vector<std::string> &args)
 namespace
 {
 
-/** The loop a bundle compiles: the one matching its name, else the
- *  module's first (the replayBundle convention). */
-const Loop &
-bundleLoop(const ReproBundle &bundle)
-{
-    const Loop *loop = &bundle.module.loops.front();
-    for (const Loop &candidate : bundle.module.loops)
-        if (candidate.name == bundle.name)
-            loop = &candidate;
-    return *loop;
-}
-
 /** One request slot, input order. */
 struct Slot
 {
@@ -137,7 +125,7 @@ compileBundle(const ReproBundle &bundle)
     CompileOut out;
     out.arrays = bundle.module.arrays;
     Expected<CompiledProgram> compiled =
-        tryCompileLoop(bundleLoop(bundle), out.arrays, bundle.machine,
+        tryCompileLoop(bundle.sourceLoop(), out.arrays, bundle.machine,
                        bundle.technique, bundle.options);
     out.source = lastCompileSource();
     if (compiled.ok()) {
@@ -247,7 +235,7 @@ serveBatch(std::istream &in, std::ostream &out,
         }
         const ReproBundle &b = slot.bundle;
         std::string key =
-            compileCacheKey(bundleLoop(b), b.module.arrays, b.machine,
+            compileCacheKey(b.sourceLoop(), b.module.arrays, b.machine,
                             b.technique, b.options);
         auto [it, inserted] = groups.emplace(key, i);
         if (inserted) {

@@ -1374,13 +1374,21 @@ refSpan(const AffineRef &ref, int64_t first, int64_t last, int64_t width,
  * MemoryImage accepts it — stores in [0, size), loads in
  * [-kGuard, size + kGuard). Every iteration counts, even past an
  * early exit, and so do the preloads (at base) and the poststores
- * (at base + n_body). A run that does not fit is InvalidInput at
- * stage "sim", checked before any engine starts.
+ * (at base + n_body). A run that does not fit, or has a negative
+ * count, is InvalidInput at stage "sim"; both entry points check it
+ * before any engine starts, so both engines fail the same way.
  */
 Status
 checkFootprint(const ArrayTable &arrays, const Loop &loop, int vl,
                int64_t n_body, int64_t base)
 {
+    if (n_body < 0) {
+        return Status::error(
+            ErrorCode::InvalidInput, "sim",
+            strfmt("loop '%s': negative iteration count %lld",
+                   loop.name.c_str(),
+                   static_cast<long long>(n_body)));
+    }
     int64_t end = 0;
     if (__builtin_add_overflow(base, n_body, &end)) {
         return Status::error(
@@ -1442,13 +1450,6 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
                const ModuloSchedule *schedule, const ExecLimits &limits,
                const ExecPlan *plan)
 {
-    if (n_body < 0) {
-        return Status::error(
-            ErrorCode::InvalidInput, "sim",
-            strfmt("loop '%s': negative iteration count %lld",
-                   loop.name.c_str(),
-                   static_cast<long long>(n_body)));
-    }
     Status footprint =
         checkFootprint(arrays, loop, machine.vectorLength, n_body, base);
     if (!footprint.ok())
@@ -1487,13 +1488,10 @@ tryExecuteLoopDense(const ArrayTable &arrays, const Loop &loop,
                     int64_t base, const ModuloSchedule *schedule,
                     const ExecLimits &limits)
 {
-    if (n_body < 0) {
-        return Status::error(
-            ErrorCode::InvalidInput, "sim",
-            strfmt("loop '%s': negative iteration count %lld",
-                   loop.name.c_str(),
-                   static_cast<long long>(n_body)));
-    }
+    Status footprint =
+        checkFootprint(arrays, loop, machine.vectorLength, n_body, base);
+    if (!footprint.ok())
+        return footprint;
     TraceSpan span(schedule != nullptr ? "sim.pipelined"
                                        : "sim.reference");
     try {

@@ -156,9 +156,10 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
  * differential-testing oracle (bench_simspeed, selvec_fuzz --simdiff,
  * the `simspeed` test label) and the SELVEC_CHECK_SIM shadow.
  * Observable outputs are bit-identical to the streaming engine's;
- * time and memory are O(n_body * ops). Oversized event lists (huge
- * trip counts) come back as a structured InvalidInput instead of an
- * allocation failure.
+ * time and memory are O(n_body * ops). It applies the same
+ * negative-count and footprint checks first, and oversized event
+ * lists (huge trip counts) come back as a structured InvalidInput
+ * instead of an allocation failure.
  */
 Expected<RunOutput>
 tryExecuteLoopDense(const ArrayTable &arrays, const Loop &loop,

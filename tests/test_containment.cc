@@ -19,6 +19,7 @@
 #include "machine/machine.hh"
 #include "support/deadline.hh"
 #include "support/faultinject.hh"
+#include "support/stats.hh"
 #include "workloads/workloads.hh"
 
 namespace selvec
@@ -440,11 +441,9 @@ TEST(Quarantine, HungAndDivergentLoopsAreContained)
     EXPECT_EQ(report.failures[0].name, "beta");
     EXPECT_EQ(report.failures[0].status.code(),
               ErrorCode::DeadlineExceeded);
-    EXPECT_TRUE(report.failures[0].hasAudit);
     EXPECT_EQ(report.failures[1].name, "gamma");
     EXPECT_EQ(report.failures[1].status.code(),
               ErrorCode::WatchdogTripped);
-    EXPECT_FALSE(report.failures[1].hasAudit);
 
     // The surviving sibling is byte-identical to its clean-run self.
     SuiteReport clean = evaluateSuite(suite, machine,
@@ -454,6 +453,37 @@ TEST(Quarantine, HungAndDivergentLoopsAreContained)
     EXPECT_EQ(jsonOfLoopReport(report.loops[0]).dump(),
               jsonOfLoopReport(clean.loops[0]).dump());
     EXPECT_EQ(report.totalCycles, clean.loops[0].weightedCycles);
+}
+
+TEST(Quarantine, FailedCompileCostsOneCompile)
+{
+    Suite suite = trioSuite();
+    Machine machine = paperMachine();
+
+    // Each Selective compile partitions once: hit 1 is beta's.
+    SuiteReport report;
+    StatsRegistry sink;
+    {
+        ScopedStatsSink scope(sink);
+        ScopedFaultPlan armed(parseFaultPlan("partition.kl:1+1").value());
+        report = evaluateSuite(suite, machine, Technique::Selective);
+    }
+
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].name, "beta");
+    EXPECT_STREQ(errorCodeName(report.failures[0].status.code()),
+                 "partition-failed");
+    EXPECT_EQ(sink.value("driver.compiles"),
+              static_cast<int64_t>(suite.loops.size()));
+
+    SuiteReport clean = evaluateSuite(suite, machine,
+                                      Technique::Selective);
+    ASSERT_EQ(report.loops.size(), 2u);
+    ASSERT_EQ(clean.loops.size(), 3u);
+    EXPECT_EQ(jsonOfLoopReport(report.loops[0]).dump(),
+              jsonOfLoopReport(clean.loops[0]).dump());
+    EXPECT_EQ(jsonOfLoopReport(report.loops[1]).dump(),
+              jsonOfLoopReport(clean.loops[2]).dump());
 }
 
 TEST(Quarantine, CleanBoundedRunIsByteIdenticalToUnbounded)
@@ -763,6 +793,52 @@ loop leave {
     EXPECT_NE(over.status().message().find("store A[16]"),
               std::string::npos)
         << over.status().str();
+}
+
+TEST(Footprint, DenseEngineFailsLikeTheStreamingEngine)
+{
+    const char *lir = R"(
+array A f64 16
+
+loop fill {
+    body {
+        x = fconst 1.5
+        store A[i] = x
+    }
+}
+)";
+    Module module = parseLirOrDie(lir);
+    const Loop &loop = module.loops.front();
+    Machine machine = paperMachine();
+    ArrayTable arrays = module.arrays;
+    const CompiledLoop cl =
+        compileLoopOrDie(loop, arrays, machine, Technique::ModuloOnly)
+            .loops.front();
+
+    // Sequentially and pipelined, both entry points reject the run
+    // with one status before any engine touches memory.
+    for (const ModuloSchedule *schedule :
+         {static_cast<const ModuloSchedule *>(nullptr),
+          &cl.mainSchedule}) {
+        const Loop &body = schedule != nullptr ? cl.main : loop;
+        MemoryImage mem(arrays);
+        Expected<RunOutput> stream = tryExecuteLoop(
+            arrays, body, machine, mem, {}, 100, 0, schedule);
+        Expected<RunOutput> dense = tryExecuteLoopDense(
+            arrays, body, machine, mem, {}, 100, 0, schedule);
+        ASSERT_FALSE(stream.ok());
+        ASSERT_FALSE(dense.ok());
+        EXPECT_EQ(dense.status().code(), ErrorCode::InvalidInput);
+        EXPECT_EQ(dense.status().str(), stream.status().str());
+        EXPECT_NE(dense.status().message().find("is out of extent"),
+                  std::string::npos)
+            << dense.status().str();
+
+        Expected<RunOutput> negative = tryExecuteLoopDense(
+            arrays, body, machine, mem, {}, -1, 0, schedule);
+        ASSERT_FALSE(negative.ok());
+        EXPECT_EQ(negative.status().code(), ErrorCode::InvalidInput);
+    }
 }
 
 TEST(Footprint, ReplayOfAnOutOfExtentBundleIsInvalidInput)
